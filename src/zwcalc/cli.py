@@ -99,12 +99,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_nf_of_tensor(args: argparse.Namespace) -> int:
-    psi = tensor_from_text(_read(args.input))
-    nf = nf_of_tensor(psi)
-    if args.mod is not None:
-        if args.mod < 2:
-            raise DiagramError(f"--mod must be at least 2, got {args.mod}")
-        nf = reduce_mod(nf, args.mod)
+    ring = _ring(args)
+    nf = nf_of_tensor(tensor_from_text(_read(args.input)))
+    if isinstance(ring, IntegersMod):
+        nf = reduce_mod(nf, ring.n)
     print(nf_to_json(nf), end="")
     return 0
 

@@ -11,6 +11,8 @@ same tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import permutations
 
 from .diagram import (
     BOUNDARY,
@@ -27,7 +29,9 @@ from .diagram import (
 from .errors import InvalidMatchError, MatchScopeError
 from .tensor import INTEGERS, Ring, eval_diagram, permute, tensor_equal
 
-#: Matching is exhaustive search; patterns above this size are refused.
+#: ``find_matches`` returns every port-level embedding of the lhs, one per
+#: orbit of the lhs automorphism group, by exhaustive search; patterns with
+#: more vertices than this are refused.
 MATCHER_VERTEX_LIMIT = 6
 
 #: Default schema instantiation bound.
@@ -55,6 +59,20 @@ class Rule:
             raise ValueError(f"rule {self.name}: boundary arities differ")
         if sorted(self.boundary_map) != list(range(len(self.lhs.boundary))):
             raise ValueError(f"rule {self.name}: boundary map is not a bijection")
+
+    @cached_property
+    def _symmetries(self) -> list[tuple[dict[int, int], tuple[int, ...]]]:
+        """The lhs automorphisms as (vertex map, leg permutation) pairs.
+
+        Computed on first use by ``find_matches``, which checks first that
+        the lhs is within the matcher's scope.
+        """
+        partner = self.lhs.port_partner()
+        position = {partner[(BOUNDARY, i)]: i for i in range(len(self.lhs.boundary))}
+        return [
+            (dict(aut.vertices), tuple(position[p] for p in aut.legs))
+            for aut in _embeddings(self.lhs, self.lhs)
+        ]
 
 
 @dataclass(frozen=True)
@@ -707,152 +725,118 @@ def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -
 # -- matching ------------------------------------------------------------------
 
 
-def _port_class(kind: VertexKind, index: int) -> int:
-    """0 for symmetric vertices, the strand id for crossing ports."""
-    if isinstance(kind, Crossing):
-        return kind.strand_of(index)
-    return 0
-
-
 def _kind_compatible(a: VertexKind, b: VertexKind) -> bool:
     if isinstance(a, Crossing):
         return isinstance(b, Crossing)
     return type(a) is type(b) and a.arity == b.arity
 
 
-def _vertex_connected(g: Diagram) -> bool:
-    vids = set(g.vertices)
-    if not vids:
-        return False
-    adjacency: dict[int, set[int]] = {vid: set() for vid in vids}
-    for p, q in g.edges:
-        if p[0] != BOUNDARY and q[0] != BOUNDARY:
-            adjacency[p[0]].add(q[0])
-            adjacency[q[0]].add(p[0])
-    seen = {min(vids)}
-    frontier = [min(vids)]
-    while frontier:
-        for w in adjacency[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == vids
+def _search_order(g: Diagram) -> list[int]:
+    """The vertices reachable from the smallest id, in breadth-first order."""
+    partner = g.port_partner()
+    order = [min(g.vertices)]
+    for vid in order:
+        for k in range(port_count(g.vertices[vid])):
+            w = partner.get((vid, k), (BOUNDARY, 0))[0]
+            if w != BOUNDARY and w not in order:
+                order.append(w)
+    return order
 
 
-def _class_bundles(g: Diagram, classes: dict[Port, int]) -> dict[tuple, list]:
-    """Group vertex-to-vertex edges by their endpoint (vertex, class) pair."""
-    bundles: dict[tuple, list] = {}
-    for p, q in g.edges:
-        if p[0] == BOUNDARY or q[0] == BOUNDARY:
-            continue
-        key = tuple(sorted(((p[0], classes[p]), (q[0], classes[q]))))
-        bundles.setdefault(key, []).append((p, q))
-    return bundles
+@lru_cache(maxsize=None)
+def _port_bijections(
+    kind: VertexKind, host_kind: VertexKind, internal: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The port maps the search tries for an lhs vertex on a host vertex.
 
-
-def _enumerate_matches(lhs: Diagram, host: Diagram) -> list[Match]:
-    """All embeddings, one canonical representative per (vertex map, flips)."""
-    lhs_classes = {
-        (vid, k): _port_class(kind, k)
-        for vid, kind in lhs.vertices.items()
-        for k in range(port_count(kind))
-    }
-    host_classes = {
-        (vid, k): _port_class(kind, k)
-        for vid, kind in host.vertices.items()
-        for k in range(port_count(kind))
-    }
-    lhs_bundles = _class_bundles(lhs, lhs_classes)
-    host_bundles = _class_bundles(host, host_classes)
-    lhs_partner = lhs.port_partner()
-    leg_ports = [lhs_partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))]
-
-    lhs_vids = sorted(lhs.vertices)
-    matches: list[Match] = []
-
-    def bundles_fit(vmap: dict[int, int], flips: dict[int, int]) -> bool:
-        def image(point: tuple[int, int]) -> tuple[int, int]:
-            vid, cls = point
-            return (vmap[vid], cls ^ flips.get(vid, 0))
-
-        for key, edges in lhs_bundles.items():
-            (v1, _), (v2, _) = key
-            if v1 not in vmap or v2 not in vmap:
-                continue
-            host_key = tuple(sorted((image(key[0]), image(key[1]))))
-            if len(edges) > len(host_bundles.get(host_key, ())):
-                return False
-        return True
-
-    def build_match(vmap: dict[int, int], flips: dict[int, int]) -> Match:
-        ports: dict[Port, Port] = {}
-
-        def image(point: tuple[int, int]) -> tuple[int, int]:
-            vid, cls = point
-            return (vmap[vid], cls ^ flips.get(vid, 0))
-
-        used_host_ports: set[Port] = set()
-        for key in sorted(lhs_bundles):
-            (v1, _), (v2, _) = key
-            host_key = tuple(sorted((image(key[0]), image(key[1]))))
-            lhs_edges = sorted(lhs_bundles[key])
-            host_edges = sorted(host_bundles[host_key])[: len(lhs_edges)]
-            for (p, q), (hp, hq) in zip(lhs_edges, host_edges):
-                if (hp[0], host_classes[hp]) != image((p[0], lhs_classes[p])):
-                    hp, hq = hq, hp
-                ports[p] = hp
-                ports[q] = hq
-                used_host_ports.update((hp, hq))
-        for vid in lhs_vids:
-            kind = lhs.vertices[vid]
-            uid = vmap[vid]
-            host_kind = host.vertices[uid]
-            by_class: dict[int, list[Port]] = {}
-            for k in range(port_count(host_kind)):
-                hport = (uid, k)
-                if hport not in used_host_ports:
-                    by_class.setdefault(host_classes[hport], []).append(hport)
-            for k in range(port_count(kind)):
-                lport = (vid, k)
-                if lport in ports:
-                    continue
-                cls = lhs_classes[lport] ^ flips.get(vid, 0)
-                ports[lport] = by_class[cls].pop(0)
-        legs = tuple(ports[p] for p in leg_ports)
-        return Match(
-            tuple(sorted(vmap.items())),
-            tuple(sorted(ports.items())),
-            legs,
+    ``perm[k]`` is the host port that lhs port ``k`` lands on.  Crossings
+    take every strand-preserving bijection.  On a Black or White vertex the
+    ``internal`` ports take any distinct host ports and the leg ports fill
+    the rest in sorted order: any other leg order differs from that one by
+    an lhs automorphism.
+    """
+    count = port_count(kind)
+    if isinstance(kind, Crossing):
+        return tuple(
+            perm
+            for perm in permutations(range(count))
+            if all(host_kind.strand_of(perm[a]) == host_kind.strand_of(perm[b])
+                   for a, b in kind.strands)
         )
+    maps = []
+    for images in permutations(range(count), len(internal)):
+        at = dict(zip(internal, images))
+        rest = iter(sorted(set(range(count)) - set(images)))
+        maps.append(tuple(at[k] if k in at else next(rest) for k in range(count)))
+    return tuple(maps)
 
-    def extend(index: int, vmap: dict[int, int], flips: dict[int, int]) -> None:
-        if index == len(lhs_vids):
-            matches.append(build_match(vmap, flips))
+
+def _embeddings(lhs: Diagram, host: Diagram) -> list[Match]:
+    """Port-level embeddings of the connected ``lhs``, one per (vertices, legs).
+
+    A backtracking search over ports in the style of VF2 (Cordella et al.,
+    IEEE TPAMI 2004).  It visits the lhs vertices in breadth-first order;
+    after the first, a vertex's only host candidate is the host partner of
+    the already-mapped port it is reached by.  A port bijection is kept when
+    every lhs edge back to an already-mapped port lands on a host edge.
+    """
+    partner = lhs.port_partner()
+    host_partner = host.port_partner()
+    order = _search_order(lhs)
+    leg_ports = [partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))]
+    # Per vertex: the earlier port it is reached by, its edges back to
+    # itself or earlier vertices, and its internal (non-leg) ports.
+    steps = []
+    for i, vid in enumerate(order):
+        ports = [(vid, k) for k in range(port_count(lhs.vertices[vid]))]
+        inner = [p for p in ports if p in partner and partner[p][0] != BOUNDARY]
+        back = [(p, partner[p]) for p in inner if partner[p][0] in order[: i + 1]]
+        anchor = next((q for _, q in back if q[0] != vid), None)
+        steps.append((vid, anchor, back, tuple(k for _, k in inner)))
+
+    found: dict[tuple, Match] = {}
+    vmap: dict[int, int] = {}
+    pmap: dict[Port, Port] = {}
+
+    def extend(i: int) -> None:
+        if i == len(order):
+            key = (tuple(sorted(vmap.items())), tuple(pmap[p] for p in leg_ports))
+            if key not in found:
+                found[key] = Match(key[0], tuple(sorted(pmap.items())), key[1])
             return
-        vid = lhs_vids[index]
+        vid, anchor, back, internal = steps[i]
         kind = lhs.vertices[vid]
-        for uid in sorted(host.vertices):
-            if uid in vmap.values() or not _kind_compatible(kind, host.vertices[uid]):
+        if anchor is None:
+            candidates = sorted(host.vertices)
+        else:
+            candidates = [host_partner.get(pmap[anchor], (BOUNDARY, 0))[0]]
+        for uid in candidates:
+            host_kind = host.vertices.get(uid)
+            if host_kind is None or uid in vmap.values() or not _kind_compatible(kind, host_kind):
                 continue
             vmap[vid] = uid
-            flip_options = (0, 1) if isinstance(kind, Crossing) else (0,)
-            for flip in flip_options:
-                if flip:
-                    flips[vid] = 1
-                if bundles_fit(vmap, flips):
-                    extend(index + 1, vmap, flips)
-                flips.pop(vid, None)
+            for perm in _port_bijections(kind, host_kind, internal):
+                for k, j in enumerate(perm):
+                    pmap[(vid, k)] = (uid, j)
+                if all(host_partner.get(pmap[p]) == pmap[q] for p, q in back):
+                    extend(i + 1)
             del vmap[vid]
 
-    extend(0, {}, {})
-    unique: dict[tuple, Match] = {}
-    for match in matches:
-        unique.setdefault((match.vertices, match.legs), match)
-    return list(unique.values())
+    extend(0)
+    return list(found.values())
 
 
 def find_matches(rule: Rule, host: Diagram) -> list[Match]:
-    """All embeddings of the rule's lhs, deduplicated up to lhs symmetry."""
+    """Every embedding of the rule's lhs, one per orbit of its automorphisms.
+
+    An embedding maps each lhs vertex to a distinct host vertex of the same
+    kind and its ports bijectively onto that vertex's ports (strands onto
+    strands for crossings), so that every lhs edge between two vertex ports
+    lands on a host edge.  Embeddings with the same vertex map and leg images
+    count as one, and so do embeddings that differ by an automorphism of the
+    lhs.  Each orbit is returned once, as its smallest (vertices, legs) member,
+    sorted by that key.
+    """
     lhs = rule.lhs
     if not lhs.vertices:
         raise MatchScopeError(f"rule {rule.name}: lhs has no vertices to anchor a match")
@@ -861,31 +845,23 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
             f"rule {rule.name}: lhs has {len(lhs.vertices)} vertices "
             f"(matcher limit {MATCHER_VERTEX_LIMIT})"
         )
-    if not _vertex_connected(lhs):
+    if len(_search_order(lhs)) != len(lhs.vertices):
         raise MatchScopeError(f"rule {rule.name}: lhs is not connected")
 
-    raw = _enumerate_matches(lhs, host)
-    automorphisms = _enumerate_matches(lhs, lhs)
-    port_maps = [dict(aut.ports) for aut in automorphisms]
-    vertex_maps = [dict(aut.vertices) for aut in automorphisms]
-    lhs_partner = lhs.port_partner()
-    leg_ports = [lhs_partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))]
+    symmetries = rule._symmetries
 
     def orbit_key(match: Match) -> tuple:
         vmap = dict(match.vertices)
-        pmap = dict(match.ports)
-        best: tuple | None = None
-        for avm, apm in zip(vertex_maps, port_maps):
-            vertices = tuple(sorted((w, vmap[avm[w]]) for w in avm))
-            legs = tuple(pmap[apm[p]] for p in leg_ports)
-            key = (vertices, legs)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        return best
+        return min(
+            (
+                tuple(sorted((w, vmap[v]) for w, v in avm.items())),
+                tuple(match.legs[j] for j in legs),
+            )
+            for avm, legs in symmetries
+        )
 
     groups: dict[tuple, Match] = {}
-    for match in raw:
+    for match in _embeddings(lhs, host):
         key = orbit_key(match)
         current = groups.get(key)
         if current is None or (match.vertices, match.legs) < (current.vertices, current.legs):

@@ -350,23 +350,19 @@ def eval_diagram(
     g: Diagram,
     ring: Ring = INTEGERS,
     leg_cap: int = DEFAULT_LEG_CAP,
-    order: str = "greedy",
 ) -> Tensor:
     """Contract a diagram to its tensor.
 
-    ``order`` picks the elimination schedule: "greedy" sums out the internal
-    edge whose elimination leaves the fewest open legs, "by-id" goes in edge
-    order.  Both give the same tensor; the knob exists so tests can check
-    that.  Raises :class:`LegCapError` when the diagram has more open legs
-    than ``leg_cap`` (the guard against dense results).
+    Internal edges are summed out greedily: next is the one whose factors
+    have the smallest product of table sizes, ties going to the one that
+    leaves fewer open legs.  Raises :class:`LegCapError` when the diagram has
+    more open legs than ``leg_cap`` (the guard against dense results).
     """
     errors = g.validate()
     if errors:
         raise DiagramError("; ".join(errors))
     if not g.is_fully_wired():
         raise DiagramError("cannot evaluate a diagram with unwired boundary legs")
-    if order not in ("greedy", "by-id"):
-        raise ValueError(f"unknown elimination order {order!r}")
     if len(g.boundary) > leg_cap:
         raise LegCapError(f"diagram has {len(g.boundary)} open legs (cap {leg_cap})")
 
@@ -389,23 +385,20 @@ def eval_diagram(
     )
     remaining = set(internal)
     while remaining:
-        if order == "by-id":
-            var = min(remaining)
-        else:
-            best: tuple[int, int, int] | None = None
-            for candidate in sorted(remaining):
-                touched = [f for f in factors if candidate in f.variables]
-                work = 1
-                for f in touched:
-                    work *= len(f.table)
-                open_legs = len(
-                    {v for f in touched for v in f.variables if v != candidate}
-                )
-                score = (work, open_legs, candidate)
-                if best is None or score < best:
-                    best = score
-            assert best is not None
-            var = best[2]
+        best: tuple[int, int, int] | None = None
+        for candidate in sorted(remaining):
+            touched = [f for f in factors if candidate in f.variables]
+            work = 1
+            for f in touched:
+                work *= len(f.table)
+            open_legs = len(
+                {v for f in touched for v in f.variables if v != candidate}
+            )
+            score = (work, open_legs, candidate)
+            if best is None or score < best:
+                best = score
+        assert best is not None
+        var = best[2]
         touched = [f for f in factors if var in f.variables]
         factors = [f for f in factors if var not in f.variables]
         factors.append(_merge_factors(touched, var, ring))

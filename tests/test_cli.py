@@ -163,10 +163,11 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error:")
 
     def test_bad_modulus(self, capsys, tmp_path):
-        path = tmp_path / "wire.zw"
-        path.write_text("id")
-        code, _, err = run(capsys, "eval", str(path), "--mod", "1")
-        assert code == 2 and err.startswith("error:")
+        for command, content in (("eval", "id"), ("nf-of-tensor", "01 -2\n10 1\n")):
+            path = tmp_path / f"{command}.txt"
+            path.write_text(content)
+            code, _, err = run(capsys, command, str(path), "--mod", "1")
+            assert (code, err) == (2, "error: --mod must be at least 2, got 1\n"), command
 
     def test_leg_cap_exceeded(self, capsys, tmp_path):
         path = tmp_path / "wire.zw"

@@ -127,12 +127,6 @@ class TestEval:
     def test_agrees_with_the_brute_force_oracle(self, g):
         assert oracle_matches_tensor(g, eval_diagram(g, INTEGERS))
 
-    @given(diagrams("order"))
-    def test_contraction_order_is_irrelevant(self, g):
-        greedy = eval_diagram(g, INTEGERS, order="greedy")
-        by_id = eval_diagram(g, INTEGERS, order="by-id")
-        assert tensor_equal(greedy, by_id)
-
     @given(diagrams("mod"), st.sampled_from([2, 3, 5]))
     def test_modular_eval_is_reduction(self, g, n):
         ring = IntegersMod(n)
