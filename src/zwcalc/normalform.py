@@ -28,6 +28,15 @@ the zero-wired legs).
 crossings, then fold the generators' normal forms over the diagram's wiring
 with juxtaposition and traces, emitting an optional audit trace whose steps
 are honest diagrams with unchanged evaluation.
+
+There is one arithmetic, the bitmask tensor ops of :mod:`zwcalc.tensor`.  A
+``NormalForm`` is a canonical view of a tensor (``nf_of_tensor``).  The
+fold's accumulator is a mask-keyed ``Tensor``: juxtaposition is
+``contract`` with an empty pairing and a closed edge is ``trace_pair``; the
+accumulator is read as a normal form only for trace snapshots and the
+output.  The lemma operations (``negate_end``, ``trace_ends``,
+``plug_normal_forms``, ``permute_legs``, ``reduce_mod``) are views too: the
+normal form's tensor, one tensor op, then ``nf_of_tensor``.
 """
 
 from __future__ import annotations
@@ -56,7 +65,12 @@ from .tensor import (
     IntegersMod,
     Ring,
     Tensor,
+    contract,
     generator_tensor,
+    permute,
+    scalar_tensor,
+    trace_pair,
+    wire_tensor,
 )
 
 
@@ -95,24 +109,6 @@ class NormalForm:
         return 0
 
 
-def _combine(legs: int, raw: Iterable[tuple[int, int, str]], ring: Ring) -> NormalForm:
-    """Merge raw (p, m, b) contributions into canonical terms."""
-    totals: dict[str, int] = {}
-    for p, m, b in raw:
-        totals[b] = totals.get(b, 0) + (-m if p else m)
-    terms = []
-    for b, value in totals.items():
-        value = ring.reduce(value)
-        if value == 0:
-            continue
-        if isinstance(ring, IntegersMod):
-            terms.append(NFTerm(0, value, b))
-        else:
-            terms.append(NFTerm(1 if value < 0 else 0, abs(value), b))
-    terms.sort(key=lambda t: (t.b, t.p))
-    return NormalForm(legs, tuple(terms))
-
-
 # -- the normal form of a tensor ----------------------------------------------
 
 
@@ -122,8 +118,19 @@ def nf_of_tensor(psi: Tensor, ring: Ring = INTEGERS) -> NormalForm:
     Over the integers the decomposition is the usual sign-magnitude one; over
     a modular ring every coefficient is its least positive residue with p = 0.
     """
-    raw = [(0, coeff, psi.bitstring(mask)) for mask, coeff in psi.entries.items()]
-    return _combine(psi.legs, raw, ring)
+    terms = []
+    for mask in sorted(psi.entries):  # numeric order is bitstring order
+        value = ring.reduce(psi.entries[mask])
+        if value:
+            terms.append(NFTerm(1 if value < 0 else 0, abs(value), psi.bitstring(mask)))
+    return NormalForm(psi.legs, tuple(terms))
+
+
+def _tensor_of(nf: NormalForm) -> Tensor:
+    """The tensor a normal form denotes (the inverse of ``nf_of_tensor``)."""
+    return Tensor(
+        nf.legs, {int(t.b or "0", 2): -t.m if t.p else t.m for t in nf.terms}
+    )
 
 
 # -- the diagram of a normal form ---------------------------------------------
@@ -204,24 +211,14 @@ def negate_end(nf: NormalForm, j: int, ring: Ring = INTEGERS) -> NormalForm:
     """Flip bit j of every term: the effect of plugging Black-2 onto leg j."""
     if not 0 <= j < nf.legs:
         raise ValueError(f"leg {j} out of range")
-    raw = [
-        (t.p, t.m, t.b[:j] + ("1" if t.b[j] == "0" else "0") + t.b[j + 1 :])
-        for t in nf.terms
-    ]
-    return _combine(nf.legs, raw, ring)
+    flip = 1 << (nf.legs - 1 - j)
+    psi = _tensor_of(nf)
+    return nf_of_tensor(Tensor(nf.legs, {m ^ flip: c for m, c in psi.entries.items()}), ring)
 
 
 def trace_ends(nf: NormalForm, j: int, k: int, ring: Ring = INTEGERS) -> NormalForm:
     """Contract legs j and k with the metric: keep terms with equal bits there."""
-    if j == k or not (0 <= j < nf.legs and 0 <= k < nf.legs):
-        raise ValueError(f"cannot trace legs {j} and {k}")
-    lo, hi = sorted((j, k))
-    raw = [
-        (t.p, t.m, t.b[:lo] + t.b[lo + 1 : hi] + t.b[hi + 1 :])
-        for t in nf.terms
-        if t.b[j] == t.b[k]
-    ]
-    return _combine(nf.legs - 2, raw, ring)
+    return nf_of_tensor(trace_pair(_tensor_of(nf), j, k, ring), ring)
 
 
 def absorb_zero(nf: NormalForm) -> NormalForm:
@@ -236,45 +233,17 @@ def plug_normal_forms(
     ring: Ring = INTEGERS,
 ) -> NormalForm:
     """Plug two normal forms: juxtapose, then trace each paired leg pair."""
-    pairs = list(pairing)
-    a_used = [i for i, _ in pairs]
-    b_used = [j for _, j in pairs]
-    for used, legs, name in ((a_used, a.legs, "first"), (b_used, b.legs, "second")):
-        for leg in used:
-            if not 0 <= leg < legs:
-                raise ValueError(f"{name} normal form has no leg {leg}")
-        if len(set(used)) != len(used):
-            raise ValueError(f"duplicated {name}-side leg in pairing")
-    raw = [
-        (ta.p ^ tb.p, ta.m * tb.m, ta.b + tb.b)
-        for ta in a.terms
-        for tb in b.terms
-    ]
-    result = _combine(a.legs + b.legs, raw, ring)
-    labels = list(range(a.legs + b.legs))
-    for i, j in pairs:
-        x, y = labels.index(i), labels.index(a.legs + j)
-        result = trace_ends(result, x, y, ring)
-        labels = [v for v in labels if v not in (i, a.legs + j)]
-    return result
+    return nf_of_tensor(contract(_tensor_of(a), _tensor_of(b), pairing, ring), ring)
 
 
 def permute_legs(nf: NormalForm, order: Sequence[int]) -> NormalForm:
     """Reorder legs so that new leg k is old leg ``order[k]``."""
-    if sorted(order) != list(range(nf.legs)):
-        raise ValueError("order must be a permutation of the legs")
-    terms = sorted(
-        (NFTerm(t.p, t.m, "".join(t.b[old] for old in order)) for t in nf.terms),
-        key=lambda t: (t.b, t.p),
-    )
-    return NormalForm(nf.legs, tuple(terms))
+    return nf_of_tensor(permute(_tensor_of(nf), order))
 
 
 def reduce_mod(nf: NormalForm, n: int) -> NormalForm:
     """Reduce coefficients to least positive residues mod n (signs fold in)."""
-    if n < 1:
-        raise ValueError("modulus must be at least 1")
-    return _combine(nf.legs, [tuple(t) for t in nf.terms], IntegersMod(n))
+    return nf_of_tensor(_tensor_of(nf), IntegersMod(n))
 
 
 def generator_nf(kind: VertexKind) -> NormalForm:
@@ -555,13 +524,15 @@ class RewriteTrace:
 class _FoldState:
     """Bookkeeping for the generator fold.
 
-    Accumulator legs are labeled (edge index, endpoint side); an edge whose
-    two labels are both present is ready to be traced.
+    The accumulator is a mask-keyed :class:`Tensor` over the ring; it is read
+    as a :class:`NormalForm` only for trace snapshots and the final output.
+    Its legs are labeled (edge index, endpoint side); an edge whose two
+    labels are both present is ready to be traced.
     """
 
     diagram: Diagram
     ring: Ring
-    acc: NormalForm
+    acc: Tensor
     labels: list[tuple[int, int]]
     absorbed: set[int]
     wires_done: set[int]
@@ -603,7 +574,7 @@ def _final_diagram(state: _FoldState) -> Diagram:
             order.append(state.labels.index((e, s)))
         else:
             order.append(state.labels.index((e, 1 - s)))
-    return nf_to_diagram(permute_legs(state.acc, order), dirs=g.boundary)
+    return nf_to_diagram(nf_of_tensor(permute(state.acc, order), state.ring), dirs=g.boundary)
 
 
 def _snapshot(state: _FoldState) -> Diagram:
@@ -613,7 +584,7 @@ def _snapshot(state: _FoldState) -> Diagram:
     if state.done():
         return _final_diagram(state)
     g = state.diagram
-    acc_diagram = nf_to_diagram(state.acc)
+    acc_diagram = nf_to_diagram(nf_of_tensor(state.acc, state.ring))
     offset = max(g.vertices, default=-1) + 1
     vertices: dict[int, VertexKind] = {
         vid: kind for vid, kind in g.vertices.items() if vid not in state.absorbed
@@ -704,7 +675,7 @@ def normalize(
     state = _FoldState(
         diagram=current,
         ring=ring,
-        acc=scalar_one_nf(),
+        acc=scalar_tensor(1, ring),
         labels=[],
         absorbed=set(),
         wires_done=set(),
@@ -720,61 +691,51 @@ def normalize(
         steps.append(TraceStep(name, before, after))
         return after
 
-    def trace_ready(cursor: Diagram | None) -> Diagram | None:
-        while True:
-            present = set(state.labels)
-            ready = sorted(
-                e for e, _ in present if ((e, 0) in present and (e, 1) in present)
-            )
-            ready = [
-                e
-                for e in ready
-                if not all(pt[0] == BOUNDARY for pt in state.diagram.edges[e])
-            ]
-            if not ready:
-                return cursor
-            e = ready[0]
-            i, j = state.labels.index((e, 0)), state.labels.index((e, 1))
-            state.acc = trace_ends(state.acc, i, j, ring)
-            state.labels = [lab for lab in state.labels if lab[0] != e]
-            cursor = emit("trace", cursor)
+    def juxtapose(t: Tensor, labels: list[tuple[int, int]]) -> None:
+        state.acc = contract(state.acc, t, [], ring)
+        state.labels = state.labels + labels
 
     cursor: Diagram | None = current if want_trace else None
 
-    def open_legs_after(vid: int) -> int:
-        added = [sides[(vid, k)] for k in range(port_count(current.vertices[vid]))]
-        future = set(state.labels) | set(added)
-        closes = {e for e, s in future if (e, 0) in future and (e, 1) in future}
-        closes = {
-            e
-            for e in closes
-            if not all(pt[0] == BOUNDARY for pt in current.edges[e])
-        }
-        return len(state.labels) + len(added) - 2 * len(closes)
+    # A vertex's score is the change in open accumulator legs that absorbing
+    # it would cause: its port count minus twice the edges it would close
+    # (self-loops and edges to absorbed vertices).  Absorbing a vertex only
+    # changes the scores of its pending neighbours.
+    neighbours: dict[int, list[int]] = {vid: [] for vid in current.vertices}
+    score = {vid: port_count(kind) for vid, kind in current.vertices.items()}
+    for p, q in current.edges:
+        if p[0] == q[0] != BOUNDARY:
+            score[p[0]] -= 2
+        elif p[0] != BOUNDARY and q[0] != BOUNDARY:
+            neighbours[p[0]].append(q[0])
+            neighbours[q[0]].append(p[0])
 
-    pending = set(current.vertices)
-    while pending:
-        vid = min(pending, key=lambda v: (open_legs_after(v), v))
-        pending.discard(vid)
+    while score:
+        vid = min(score, key=lambda v: (score[v], v))
+        del score[vid]
         kind = current.vertices[vid]
-        gen = nf_of_tensor(generator_tensor(kind, ring), ring)
-        state.acc = plug_normal_forms(state.acc, gen, [], ring)
-        state.labels = state.labels + [
-            sides[(vid, k)] for k in range(port_count(kind))
-        ]
+        added = [sides[(vid, k)] for k in range(port_count(kind))]
+        juxtapose(generator_tensor(kind, ring), added)
         state.absorbed.add(vid)
+        for other in neighbours[vid]:
+            if other in score:
+                score[other] -= 2
         cursor = emit("generator-nf", cursor)
-        cursor = trace_ready(cursor)
+        present = set(state.labels)
+        for e in sorted({e for e, s in added if (e, 1 - s) in present}):
+            i, j = state.labels.index((e, 0)), state.labels.index((e, 1))
+            state.acc = trace_pair(state.acc, i, j, ring)
+            state.labels = [lab for lab in state.labels if lab[0] != e]
+            cursor = emit("trace", cursor)
 
     for e, (p, q) in enumerate(current.edges):
         if p[0] == BOUNDARY and q[0] == BOUNDARY:
-            state.acc = plug_normal_forms(state.acc, wire_nf(), [], ring)
-            state.labels = state.labels + [(e, 0), (e, 1)]
+            juxtapose(wire_tensor(ring), [(e, 0), (e, 1)])
             state.wires_done.add(e)
             cursor = emit("plugging", cursor)
 
     while state.circles_left:
-        state.acc = plug_normal_forms(state.acc, circle_nf(), [], ring)
+        juxtapose(scalar_tensor(2, ring), [])
         state.circles_left -= 1
         cursor = emit("plugging", cursor)
 

@@ -152,11 +152,18 @@ def permute(t: Tensor, order: Iterable[int]) -> Tensor:
     order = list(order)
     if sorted(order) != list(range(t.legs)):
         raise ValueError("order must be a permutation of the legs")
+    # Moving from leg old to leg new shifts a bit left by old - new.  Legs
+    # with the same shift move together: one mask-and-shift per shift.
+    selectors: dict[int, int] = {}
+    for new, old in enumerate(order):
+        selectors[old - new] = selectors.get(old - new, 0) | 1 << (t.legs - 1 - old)
+    moves = list(selectors.items())
     entries = {}
     for mask, coeff in t.entries.items():
         new_mask = 0
-        for k, old in enumerate(order):
-            new_mask |= t.bit(mask, old) << (t.legs - 1 - k)
+        for shift, selector in moves:
+            bits = mask & selector
+            new_mask |= bits << shift if shift >= 0 else bits >> -shift
         entries[new_mask] = coeff
     return Tensor(t.legs, entries)
 
@@ -176,48 +183,52 @@ def contract(a: Tensor, b: Tensor, pairing: Iterable[tuple[int, int]], ring: Rin
                 raise ValueError(f"{name} tensor has no leg {leg}")
         if len(set(used)) != len(used):
             raise ValueError(f"duplicated {name}-tensor leg in pairing")
-    a_keep = [i for i in range(a.legs) if i not in a_used]
-    b_keep = [j for j in range(b.legs) if j not in b_used]
-    legs = len(a_keep) + len(b_keep)
+    # Move a's paired legs to its low end and b's to its high end, both in
+    # pairing order: then the shared bits of two masks are one bit field.
+    paired = len(pairs)
+    if a_used != list(range(a.legs - paired, a.legs)):
+        a = permute(a, [i for i in range(a.legs) if i not in a_used] + a_used)
+    if b_used != list(range(paired)):
+        b = permute(b, b_used + [j for j in range(b.legs) if j not in b_used])
+    shared = (1 << paired) - 1
+    b_rest = b.legs - paired
+    b_low = (1 << b_rest) - 1
+    by_key: dict[int, list[tuple[int, int]]] = {}
+    for mb, cb in b.entries.items():
+        by_key.setdefault(mb >> b_rest, []).append((mb & b_low, cb))
+    reduce = ring.reduce
     entries: dict[int, int] = {}
     for ma, ca in a.entries.items():
-        for mb, cb in b.entries.items():
-            if any(a.bit(ma, i) != b.bit(mb, j) for i, j in pairs):
-                continue
-            mask = 0
-            shift = legs - 1
-            for i in a_keep:
-                mask |= a.bit(ma, i) << shift
-                shift -= 1
-            for j in b_keep:
-                mask |= b.bit(mb, j) << shift
-                shift -= 1
-            value = ring.reduce(entries.get(mask, 0) + ca * cb)
+        high = ma >> paired << b_rest
+        for low, cb in by_key.get(ma & shared, ()):
+            mask = high | low
+            value = reduce(entries.get(mask, 0) + ca * cb)
             if value:
                 entries[mask] = value
             else:
                 entries.pop(mask, None)
-    return Tensor(legs, entries)
+    return Tensor(a.legs - paired + b_rest, entries)
 
 
 def trace_pair(t: Tensor, i: int, j: int, ring: Ring = INTEGERS) -> Tensor:
     """Contract legs i and j of the same tensor with the metric."""
     if i == j or not (0 <= i < t.legs and 0 <= j < t.legs):
         raise ValueError(f"cannot trace legs {i} and {j} of a {t.legs}-leg tensor")
-    keep = [k for k in range(t.legs) if k not in (i, j)]
+    lo, hi = sorted((t.legs - 1 - i, t.legs - 1 - j))  # bit positions
+    below = (1 << lo) - 1
+    between = (1 << hi) - (1 << (lo + 1))
+    reduce = ring.reduce
     entries: dict[int, int] = {}
     for mask, coeff in t.entries.items():
-        if t.bit(mask, i) != t.bit(mask, j):
+        if (mask >> lo ^ mask >> hi) & 1:
             continue
-        new_mask = 0
-        for pos, k in enumerate(keep):
-            new_mask |= t.bit(mask, k) << (len(keep) - 1 - pos)
-        value = ring.reduce(entries.get(new_mask, 0) + coeff)
+        new_mask = mask & below | (mask & between) >> 1 | mask >> (hi + 1) << (hi - 1)
+        value = reduce(entries.get(new_mask, 0) + coeff)
         if value:
             entries[new_mask] = value
         else:
             entries.pop(new_mask, None)
-    return Tensor(len(keep), entries)
+    return Tensor(t.legs - 2, entries)
 
 
 # -- text format --------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Brute-force oracles, independent of the package's engines.
 
 ``oracle_eval`` enumerates every assignment of bits to edges and multiplies
-per-vertex values computed from first principles.  ``oracle_embeddings``
-enumerates pattern embeddings over raw per-vertex port bijections.  Both are
-exponential and only used on small instances; the point is that they share
-no code or strategy with the package, making agreement meaningful.
+per-vertex values computed from first principles.  ``oracle_contract``,
+``oracle_trace`` and ``oracle_permute`` compute the tensor ops over
+bitstring-keyed dicts by enumerating every assignment of bits to legs.
+``oracle_embeddings`` enumerates pattern embeddings over raw per-vertex port
+bijections.  All are exponential and only used on small instances; the point
+is that they share no code or strategy with the package, making agreement
+meaningful.
 """
 
 from __future__ import annotations
@@ -63,6 +66,58 @@ def oracle_matches_tensor(g: Diagram, tensor, mod: int | None = None) -> bool:
     expected = oracle_eval(g, mod)
     actual = {tensor.bitstring(mask): coeff for mask, coeff in tensor.entries.items()}
     return tensor.legs == len(g.boundary) and actual == expected
+
+
+def _reduced(result: dict[str, int], mod: int | None) -> dict[str, int]:
+    if mod is not None:
+        result = {k: v % mod for k, v in result.items()}
+    return {k: v for k, v in result.items() if v != 0}
+
+
+def _strings(legs: int):
+    return ("".join(bits) for bits in product("01", repeat=legs))
+
+
+def oracle_contract(
+    a_legs: int,
+    a: dict[str, int],
+    b_legs: int,
+    b: dict[str, int],
+    pairing: list[tuple[int, int]],
+    mod: int | None = None,
+) -> dict[str, int]:
+    """Sum over every joint assignment of both tensors' legs that agrees on
+    each paired leg pair; surviving legs are a's unpaired, then b's."""
+    a_paired = {i for i, _ in pairing}
+    b_paired = {j for _, j in pairing}
+    result: dict[str, int] = {}
+    for sa in _strings(a_legs):
+        for sb in _strings(b_legs):
+            if any(sa[i] != sb[j] for i, j in pairing):
+                continue
+            key = "".join(sa[i] for i in range(a_legs) if i not in a_paired) + "".join(
+                sb[j] for j in range(b_legs) if j not in b_paired
+            )
+            result[key] = result.get(key, 0) + a.get(sa, 0) * b.get(sb, 0)
+    return _reduced(result, mod)
+
+
+def oracle_trace(
+    legs: int, t: dict[str, int], i: int, j: int, mod: int | None = None
+) -> dict[str, int]:
+    """Sum over every assignment whose legs i and j carry equal bits."""
+    result: dict[str, int] = {}
+    for s in _strings(legs):
+        if s[i] == s[j]:
+            key = "".join(s[k] for k in range(legs) if k not in (i, j))
+            result[key] = result.get(key, 0) + t.get(s, 0)
+    return _reduced(result, mod)
+
+
+def oracle_permute(legs: int, t: dict[str, int], order: list[int]) -> dict[str, int]:
+    """New leg k reads old leg ``order[k]``, over every assignment."""
+    result = {"".join(s[old] for old in order): t.get(s, 0) for s in _strings(legs)}
+    return _reduced(result, None)
 
 
 def _allowed_port_maps(kind):

@@ -49,6 +49,7 @@ from zwcalc.tensor import (
     tensor_equal,
     trace_pair,
 )
+from zwcalc.term import from_term, parse_term
 
 X_STATE_TERMS = (
     NFTerm(0, 1, "0000"),
@@ -347,3 +348,29 @@ class TestNormalize:
         assert is_normal_form(out) == NormalForm(0, ())
         out3, _ = normalize(circle(), ring=IntegersMod(3))
         assert is_normal_form(out3) == circle_nf()
+        # The empty diagram is the scalar 1, which is 0 mod 1.
+        empty = Diagram({}, (), ())
+        out1, _ = normalize(empty, ring=IntegersMod(1))
+        assert is_normal_form(out1) == NormalForm(0, ())
+        assert eval_diagram(empty, IntegersMod(1)).is_zero()
+
+    def test_fold_order_is_pinned(self):
+        # The absorption order decides where the traces fall; this pins it.
+        g = from_term(parse_term("(w(1,2) ; x ; w(2,1)) ; (w(1,2) ; x ; w(2,1))"))
+        out, trace = normalize(g, want_trace=True)
+        G, T = "generator-nf", "trace"
+        assert [s.step for s in trace.steps] == ["crossing-elim", "crossing-elim"] + [
+            G, G, G, T, G, T, G, T, G, T, G, T, G, T, G, T, G, T,
+            G, T, T, T, G, T, T, G, T, T, G, T, T, G, T, T, G, T,
+            G, T, G, T, G, T, T, G, T, G, T, T, G, T, G, T, T, G,
+            T, T, G, T, G, T, T, G, T, T, G, T, T,
+        ]
+        assert is_normal_form(out) == nf_of_tensor(eval_diagram(g, INTEGERS))
+        # A self-loop closes as soon as its vertex is absorbed, so the Black-2
+        # scores as low as the nullary White and wins the tie by id.
+        b = DiagramBuilder()
+        looped = b.vertex(Black(2))
+        b.vertex(White(0))
+        b.edge((looped, 0), (looped, 1))
+        _, trace = normalize(b.build(), want_trace=True)
+        assert [s.step for s in trace.steps] == [G, T, G]

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import circle, diagrams, self_crossed_wire, tensors, wire
-from oracle import oracle_matches_tensor
+from oracle import oracle_contract, oracle_matches_tensor, oracle_permute, oracle_trace
 from zwcalc.diagram import Black, Crossing, Diagram, White
 from zwcalc.errors import LegCapError
 from zwcalc.tensor import (
@@ -31,6 +31,22 @@ from zwcalc.term import from_term, parse_term
 
 def entries_by_bits(t):
     return {t.bitstring(mask): coeff for mask, coeff in t.entries.items()}
+
+
+def as_bitstrings(t):
+    """The entries keyed by bitstrings, spelled out here rather than by Tensor."""
+    return {
+        "".join(str(mask >> (t.legs - 1 - k) & 1) for k in range(t.legs)): coeff
+        for mask, coeff in t.entries.items()
+    }
+
+
+# None is the integers; n is the integers mod n.
+moduli = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
+
+
+def ring_of(mod):
+    return INTEGERS if mod is None else IntegersMod(mod)
 
 
 class TestGeneratorTensors:
@@ -147,6 +163,41 @@ class TestTensorOps:
 
     def test_trace_pair_closes_the_metric(self):
         assert tensor_equal(trace_pair(wire_tensor(), 0, 1), scalar_tensor(2))
+
+    @given(a=tensors(), b=tensors(), mod=moduli, data=st.data())
+    @settings(max_examples=150)
+    def test_contract_agrees_with_the_oracle(self, a, b, mod, data):
+        ring = ring_of(mod)
+        a, b = reduce_tensor(a, ring), reduce_tensor(b, ring)
+        count = data.draw(st.integers(min_value=0, max_value=min(a.legs, b.legs)))
+        a_sides = data.draw(st.permutations(range(a.legs)))[:count]
+        b_sides = data.draw(st.permutations(range(b.legs)))[:count]
+        pairing = list(zip(a_sides, b_sides))
+        got = contract(a, b, pairing, ring)
+        assert got.legs == a.legs + b.legs - 2 * count
+        assert as_bitstrings(got) == oracle_contract(
+            a.legs, as_bitstrings(a), b.legs, as_bitstrings(b), pairing, mod
+        )
+
+    @given(t=tensors(max_legs=6), mod=moduli, data=st.data())
+    @settings(max_examples=150)
+    def test_trace_pair_agrees_with_the_oracle(self, t, mod, data):
+        assume(t.legs >= 2)
+        ring = ring_of(mod)
+        t = reduce_tensor(t, ring)
+        i, j = data.draw(st.permutations(range(t.legs)))[:2]
+        got = trace_pair(t, i, j, ring)
+        assert got.legs == t.legs - 2
+        assert as_bitstrings(got) == oracle_trace(t.legs, as_bitstrings(t), i, j, mod)
+
+    @given(t=tensors(max_legs=6), mod=moduli, data=st.data())
+    @settings(max_examples=150)
+    def test_permute_agrees_with_the_oracle(self, t, mod, data):
+        t = reduce_tensor(t, ring_of(mod))
+        order = data.draw(st.permutations(range(t.legs)))
+        got = permute(t, order)
+        assert got.legs == t.legs
+        assert as_bitstrings(got) == oracle_permute(t.legs, as_bitstrings(t), order)
 
     @given(tensors())
     def test_text_roundtrip(self, t):
