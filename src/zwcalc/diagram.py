@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DiagramError
@@ -86,6 +87,15 @@ def port_count(kind: VertexKind) -> int:
     return kind.arity
 
 
+def _kind_key(kind: VertexKind) -> tuple[type, int]:
+    """The key under which two vertex kinds count as the same kind.
+
+    Black and White vertices are keyed by family and arity.  Every crossing
+    has the one key ``(Crossing, 4)``, whatever its strands.
+    """
+    return (type(kind), port_count(kind))
+
+
 def _sorted_edge(p: Port, q: Port) -> Edge:
     return (p, q) if p <= q else (q, p)
 
@@ -135,6 +145,18 @@ class Diagram:
 
     def has_crossings(self) -> bool:
         return any(isinstance(k, Crossing) for k in self.vertices.values())
+
+    @cached_property
+    def _by_kind(self) -> dict[tuple[type, int], tuple[int, ...]]:
+        """Vertex ids per kind key (see ``_kind_key``), each in ascending order.
+
+        Built on first use and kept on the instance; it is not a field, so
+        it takes no part in equality, ``repr`` or serialisation.
+        """
+        index: dict[tuple[type, int], list[int]] = {}
+        for vid in sorted(self.vertices):
+            index.setdefault(_kind_key(self.vertices[vid]), []).append(vid)
+        return {key: tuple(vids) for key, vids in index.items()}
 
     # -- validation ---------------------------------------------------------
 

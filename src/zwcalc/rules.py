@@ -10,6 +10,7 @@ same tensor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -20,9 +21,11 @@ from .diagram import (
     Crossing,
     Diagram,
     DiagramBuilder,
+    Edge,
     Port,
     VertexKind,
     White,
+    _kind_key,
     _resolve_wires,
     port_count,
 )
@@ -61,17 +64,25 @@ class Rule:
             raise ValueError(f"rule {self.name}: boundary map is not a bijection")
 
     @cached_property
+    def _plan(self) -> _Plan:
+        """The lhs compiled for the matcher's search (see ``_compile``).
+
+        Computed on first use by ``find_matches``, which checks first that
+        the lhs has a vertex to start from.
+        """
+        return _compile(self.lhs)
+
+    @cached_property
     def _symmetries(self) -> list[tuple[dict[int, int], tuple[int, ...]]]:
         """The lhs automorphisms as (vertex map, leg permutation) pairs.
 
         Computed on first use by ``find_matches``, which checks first that
         the lhs is within the matcher's scope.
         """
-        partner = self.lhs.port_partner()
-        position = {partner[(BOUNDARY, i)]: i for i in range(len(self.lhs.boundary))}
+        position = {p: i for i, p in enumerate(self._plan.leg_ports)}
         return [
             (dict(aut.vertices), tuple(position[p] for p in aut.legs))
-            for aut in _embeddings(self.lhs, self.lhs)
+            for aut in _embeddings(self._plan, self.lhs)
         ]
 
 
@@ -726,21 +737,47 @@ def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -
 
 
 def _kind_compatible(a: VertexKind, b: VertexKind) -> bool:
-    if isinstance(a, Crossing):
-        return isinstance(b, Crossing)
-    return type(a) is type(b) and a.arity == b.arity
+    return _kind_key(a) == _kind_key(b)
 
 
-def _search_order(g: Diagram) -> list[int]:
-    """The vertices reachable from the smallest id, in breadth-first order."""
-    partner = g.port_partner()
-    order = [min(g.vertices)]
+@dataclass(frozen=True)
+class _Plan:
+    """A rule's lhs compiled for the search, once per ``Rule``.
+
+    ``steps`` holds the lhs vertices reachable from the smallest id, in
+    breadth-first order, each as (vertex id, kind, the earlier port it is
+    reached by or None for the first, its edges back to itself or earlier
+    vertices, its internal (non-leg) port indices).  ``leg_ports[i]`` is the
+    lhs port on leg ``i``, and ``needs`` counts the lhs vertices per kind key.
+    """
+
+    steps: tuple[tuple[int, VertexKind, Port | None, tuple[Edge, ...], tuple[int, ...]], ...]
+    leg_ports: tuple[Port, ...]
+    needs: tuple[tuple[tuple[type, int], int], ...]
+
+
+def _compile(lhs: Diagram) -> _Plan:
+    """The search plan of an lhs with at least one vertex."""
+    partner = lhs.port_partner()
+    order = [min(lhs.vertices)]
     for vid in order:
-        for k in range(port_count(g.vertices[vid])):
+        for k in range(port_count(lhs.vertices[vid])):
             w = partner.get((vid, k), (BOUNDARY, 0))[0]
             if w != BOUNDARY and w not in order:
                 order.append(w)
-    return order
+    steps = []
+    for i, vid in enumerate(order):
+        ports = [(vid, k) for k in range(port_count(lhs.vertices[vid]))]
+        inner = [p for p in ports if p in partner and partner[p][0] != BOUNDARY]
+        back = tuple((p, partner[p]) for p in inner if partner[p][0] in order[: i + 1])
+        anchor = next((q for _, q in back if q[0] != vid), None)
+        steps.append((vid, lhs.vertices[vid], anchor, back, tuple(k for _, k in inner)))
+    needs = Counter(_kind_key(kind) for kind in lhs.vertices.values())
+    return _Plan(
+        tuple(steps),
+        tuple(partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))),
+        tuple(needs.items()),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -771,43 +808,30 @@ def _port_bijections(
     return tuple(maps)
 
 
-def _embeddings(lhs: Diagram, host: Diagram) -> list[Match]:
-    """Port-level embeddings of the connected ``lhs``, one per (vertices, legs).
+def _embeddings(plan: _Plan, host: Diagram) -> list[Match]:
+    """Port-level embeddings of a connected lhs, one per (vertices, legs).
 
     A backtracking search over ports in the style of VF2 (Cordella et al.,
-    IEEE TPAMI 2004).  It visits the lhs vertices in breadth-first order;
-    after the first, a vertex's only host candidate is the host partner of
-    the already-mapped port it is reached by.  A port bijection is kept when
+    IEEE TPAMI 2004).  It visits the lhs vertices in the plan's breadth-first
+    order.  The first takes each host vertex of its kind as a candidate;
+    after it, a vertex's only host candidate is the host partner of the
+    already-mapped port it is reached by.  A port bijection is kept when
     every lhs edge back to an already-mapped port lands on a host edge.
     """
-    partner = lhs.port_partner()
     host_partner = host.port_partner()
-    order = _search_order(lhs)
-    leg_ports = [partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))]
-    # Per vertex: the earlier port it is reached by, its edges back to
-    # itself or earlier vertices, and its internal (non-leg) ports.
-    steps = []
-    for i, vid in enumerate(order):
-        ports = [(vid, k) for k in range(port_count(lhs.vertices[vid]))]
-        inner = [p for p in ports if p in partner and partner[p][0] != BOUNDARY]
-        back = [(p, partner[p]) for p in inner if partner[p][0] in order[: i + 1]]
-        anchor = next((q for _, q in back if q[0] != vid), None)
-        steps.append((vid, anchor, back, tuple(k for _, k in inner)))
-
     found: dict[tuple, Match] = {}
     vmap: dict[int, int] = {}
     pmap: dict[Port, Port] = {}
 
     def extend(i: int) -> None:
-        if i == len(order):
-            key = (tuple(sorted(vmap.items())), tuple(pmap[p] for p in leg_ports))
+        if i == len(plan.steps):
+            key = (tuple(sorted(vmap.items())), tuple(pmap[p] for p in plan.leg_ports))
             if key not in found:
                 found[key] = Match(key[0], tuple(sorted(pmap.items())), key[1])
             return
-        vid, anchor, back, internal = steps[i]
-        kind = lhs.vertices[vid]
+        vid, kind, anchor, back, internal = plan.steps[i]
         if anchor is None:
-            candidates = sorted(host.vertices)
+            candidates = host._by_kind.get(_kind_key(kind), ())
         else:
             candidates = [host_partner.get(pmap[anchor], (BOUNDARY, 0))[0]]
         for uid in candidates:
@@ -836,6 +860,10 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
     count as one, and so do embeddings that differ by an automorphism of the
     lhs.  Each orbit is returned once, as its smallest (vertices, legs) member,
     sorted by that key.
+
+    The lhs is compiled into a search plan once per ``Rule``, and a host with
+    fewer vertices of some kind than the lhs has is rejected before any
+    search, from an index of its vertices by kind built once per host.
     """
     lhs = rule.lhs
     if not lhs.vertices:
@@ -845,8 +873,12 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
             f"rule {rule.name}: lhs has {len(lhs.vertices)} vertices "
             f"(matcher limit {MATCHER_VERTEX_LIMIT})"
         )
-    if len(_search_order(lhs)) != len(lhs.vertices):
+    plan = rule._plan
+    if len(plan.steps) != len(lhs.vertices):
         raise MatchScopeError(f"rule {rule.name}: lhs is not connected")
+    by_kind = host._by_kind
+    if any(len(by_kind.get(key, ())) < count for key, count in plan.needs):
+        return []
 
     symmetries = rule._symmetries
 
@@ -861,7 +893,7 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
         )
 
     groups: dict[tuple, Match] = {}
-    for match in _embeddings(lhs, host):
+    for match in _embeddings(plan, host):
         key = orbit_key(match)
         current = groups.get(key)
         if current is None or (match.vertices, match.legs) < (current.vertices, current.legs):

@@ -120,13 +120,14 @@ def oracle_permute(legs: int, t: dict[str, int], order: list[int]) -> dict[str, 
     return _reduced(result, None)
 
 
-def _allowed_port_maps(kind):
-    """Every port permutation of a vertex consistent with its symmetry."""
+def _allowed_port_maps(kind, host_kind):
+    """Every port permutation from a vertex onto a host vertex of its kind
+    that keeps each crossing strand on one host strand."""
     count = port_count(kind)
     for perm in permutations(range(count)):
         if isinstance(kind, Crossing):
             intact = all(
-                len({kind.strand_of(perm[p]) for p in pair}) == 1
+                len({host_kind.strand_of(perm[p]) for p in pair}) == 1
                 for pair in kind.strands
             )
             if not intact:
@@ -159,7 +160,10 @@ def oracle_embeddings(lhs: Diagram, host: Diagram) -> dict[tuple, dict]:
             for v, u in vmap.items()
         ):
             continue
-        choices = [list(_allowed_port_maps(lhs.vertices[v])) for v in lhs_vids]
+        choices = [
+            list(_allowed_port_maps(lhs.vertices[v], host.vertices[vmap[v]]))
+            for v in lhs_vids
+        ]
         for combo in product(*choices):
             pmap = {
                 (v, k): (vmap[v], perm[k])

@@ -21,6 +21,7 @@ from zwcalc.diagram import (
     with_boundary_dirs,
 )
 from zwcalc.errors import DiagramError
+from zwcalc.jsonio import diagram_to_json
 
 
 class TestBuilder:
@@ -102,6 +103,25 @@ class TestCrossing:
             ("out",) * 4,
         )
         assert any("partition" in p for p in validate(g))
+
+
+class TestKindIndex:
+    def test_every_crossing_shares_one_kind(self):
+        g = Diagram(
+            {0: Crossing(), 1: Crossing(((0, 1), (2, 3))), 2: Black(2), 3: White(2)},
+            tuple(((0, k), (1, k)) for k in range(4)) + (((2, 0), (3, 0)), ((2, 1), (3, 1))),
+            (),
+        )
+        assert g._by_kind == {(Crossing, 4): (0, 1), (Black, 2): (2,), (White, 2): (3,)}
+
+    @given(diagrams("index", max_vertices=10))
+    def test_index_leaves_equality_and_json_unchanged(self, g):
+        twin = Diagram(dict(g.vertices), g.edges, g.boundary, g.circles)
+        text = diagram_to_json(g)
+        assert g._by_kind is g._by_kind
+        assert g == twin and twin == g
+        assert repr(g) == repr(twin)
+        assert diagram_to_json(g) == text == diagram_to_json(twin)
 
 
 class TestPlug:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -36,6 +37,9 @@ SMALL_LHS = [
     "X", "sp_W(1,1)", "sp_W(2,1)", "sp_Z(1,1)", "tr_W(2)", "tr_Z(4)",
     "am_W(2)", "ph(3)",
 ]
+
+# Rules whose lhs holds a crossing and is within matcher scope.
+CROSSING_LHS = ["7a", "7b", "X"]
 
 # Rules used for random application trials (lhs within matcher scope).
 APPLY_POOL = SMALL_LHS + [
@@ -146,6 +150,37 @@ def _bypass_whites(g: Diagram):
             yield (p, q)
 
 
+def _vertexless_rule() -> Rule:
+    return Rule("wires", wire(), wire(), (0, 1))
+
+
+def _disconnected_rule() -> Rule:
+    b = DiagramBuilder()
+    for i in range(2):
+        b.edge((b.vertex(Black(1)), 0), b.leg(i))
+    split = b.build()
+    return Rule("split", split, split, (0, 1))
+
+
+def _relabel_crossings(g: Diagram, relabel) -> Diagram:
+    """``g`` with port ``k`` of every crossing renamed ``relabel[k]``, its
+    strands renamed with it: an isomorphic diagram whose crossings carry
+    other strand pairings."""
+
+    def port(p):
+        if p[0] in g.vertices and isinstance(g.vertices[p[0]], Crossing):
+            return (p[0], relabel[p[1]])
+        return p
+
+    vertices = {
+        vid: Crossing(tuple((relabel[a], relabel[b]) for a, b in kind.strands))
+        if isinstance(kind, Crossing) else kind
+        for vid, kind in g.vertices.items()
+    }
+    edges = tuple((port(p), port(q)) for p, q in g.edges)
+    return Diagram(vertices, edges, g.boundary, g.circles)
+
+
 class TestFindMatches:
     def test_unique_involution_match(self, rules_by_name):
         assert len(find_matches(rules_by_name["2a"], b2_chain())) == 1
@@ -160,18 +195,35 @@ class TestFindMatches:
             find_matches(rules_by_name["ba_W(4,4)"], b2_chain())
 
     def test_vertexless_lhs_is_refused(self):
-        rule = Rule("wires", wire(), wire(), (0, 1))
         with pytest.raises(MatchScopeError):
-            find_matches(rule, b2_chain())
+            find_matches(_vertexless_rule(), b2_chain())
 
     def test_disconnected_lhs_is_refused(self):
-        b = DiagramBuilder()
-        for i in range(2):
-            b.edge((b.vertex(Black(1)), 0), b.leg(i))
-        split = b.build()
-        rule = Rule("split", split, split, (0, 1))
         with pytest.raises(MatchScopeError):
-            find_matches(rule, b2_chain())
+            find_matches(_disconnected_rule(), b2_chain())
+
+    def test_scope_is_checked_before_the_kind_counts(self, rules_by_name):
+        # The empty host lacks every kind the lhs needs, so a kind-count
+        # rejection ahead of the scope checks would return [] instead.
+        empty = Diagram({}, (), ())
+        for rule in (rules_by_name["ba_W(4,4)"], _vertexless_rule(), _disconnected_rule()):
+            with pytest.raises(MatchScopeError):
+                find_matches(rule, empty)
+
+    def test_repeated_and_fresh_calls_agree(self, rules_by_name):
+        # The lhs plan is cached per Rule and the kind index per host: a
+        # second call, an equal host built anew and an equal Rule built anew
+        # give the same matches.
+        rules = [r for r in rules_by_name.values() if len(r.lhs.vertices) <= 6]
+        for i in range(10):
+            host = random_diagram(random.Random(f"cache:{i}"), 14, 4, 4)
+            first = {rule.name: find_matches(rule, host) for rule in rules}
+            twin = Diagram(dict(host.vertices), host.edges, host.boundary, host.circles)
+            for rule in rules:
+                fresh = dataclasses.replace(rule)
+                assert find_matches(rule, host) == first[rule.name], (i, rule.name)
+                assert find_matches(rule, twin) == first[rule.name], (i, rule.name)
+                assert find_matches(fresh, twin) == first[rule.name], (i, rule.name)
 
     @given(seed=st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=120)
@@ -194,6 +246,31 @@ class TestFindMatches:
         got = oracle_orbit_keys(rule.lhs, [(m.vertices, m.legs) for m in mine])
         assert got == expected
         assert len(mine) == len(expected)
+
+    @given(seed=st.integers(min_value=0, max_value=10**9), relabel=st.permutations(range(4)))
+    @settings(max_examples=120)
+    # One match for X; an oracle that checked strands against the lhs
+    # crossing instead of the host crossing found none.
+    @example(seed=6, relabel=[1, 2, 0, 3])
+    def test_agrees_on_hosts_with_relabelled_crossings(self, rules_by_name, seed, relabel):
+        host = random_diagram(random.Random(f"x:{seed}"), max_vertices=6, max_arity=4, max_legs=4)
+        moved = _relabel_crossings(host, relabel)
+        crossings = {vid for vid, kind in host.vertices.items() if isinstance(kind, Crossing)}
+        undo = {j: k for k, j in enumerate(relabel)}
+        for name in CROSSING_LHS:
+            rule = rules_by_name[name]
+            mine = [(m.vertices, m.legs) for m in find_matches(rule, moved)]
+            expected = oracle_orbit_keys(rule.lhs, oracle_embeddings(rule.lhs, moved))
+            assert oracle_orbit_keys(rule.lhs, mine) == expected, name
+            assert len(mine) == len(expected), name
+            # Carried back through the relabelling, they are the plain host's.
+            back = [
+                (vertices, tuple((u, undo[j]) if u in crossings else (u, j) for u, j in legs))
+                for vertices, legs in mine
+            ]
+            plain = [(m.vertices, m.legs) for m in find_matches(rule, host)]
+            assert oracle_orbit_keys(rule.lhs, back) == oracle_orbit_keys(rule.lhs, plain), name
+            assert len(back) == len(plain), name
 
 
 class TestApply:
