@@ -24,14 +24,17 @@ the tops of its *zero* positions and carry a changer exactly when its sign is
 all-equal inputs 1...1 to -1 and 0...0 to +1, and the tops then put the 1 on
 the zero-wired legs).
 
-``normalize`` follows the constructive completeness argument: eliminate
+The normal form depends on the tensor alone, so untraced ``normalize``
+returns the template of the evaluated tensor (``eval_diagram``).  A traced
+run follows the constructive completeness argument instead: eliminate
 crossings, then fold the generators' normal forms over the diagram's wiring
-with juxtaposition and traces, emitting an optional audit trace whose steps
-are honest diagrams with unchanged evaluation.
+with juxtaposition and traces, recording an audit trace whose steps are
+honest diagrams with unchanged evaluation.  Both routes reach the same
+output.
 
 There is one arithmetic, the bitmask tensor ops of :mod:`zwcalc.tensor`.  A
 ``NormalForm`` is a canonical view of a tensor (``nf_of_tensor``).  The
-fold's accumulator is a mask-keyed ``Tensor``: juxtaposition is
+traced fold's accumulator is a mask-keyed ``Tensor``: juxtaposition is
 ``contract`` with an empty pairing and a closed edge is ``trace_pair``; the
 accumulator is read as a normal form only for trace snapshots and the
 output.  The lemma operations (``negate_end``, ``trace_ends``,
@@ -65,6 +68,8 @@ from .tensor import (
     IntegersMod,
     Ring,
     Tensor,
+    _fold,
+    _generator,
     contract,
     generator_tensor,
     permute,
@@ -647,14 +652,17 @@ def normalize(
     want_trace: bool = False,
     leg_cap: int = DEFAULT_LEG_CAP,
 ) -> tuple[Diagram, RewriteTrace | None]:
-    """Rewrite a diagram into normal form by the constructive procedure.
+    """Rewrite a diagram into normal form.
 
-    Crossings are eliminated first, then every generator's normal form is
-    folded into an accumulator following the wiring (juxtapose, then trace
-    each closed edge), and the result is rendered through the template.  The
-    output always satisfies :func:`is_normal_form`.  With ``want_trace`` the
-    returned trace lists every step as a pair of whole diagrams with equal
-    evaluation.
+    Without ``want_trace`` the output is the template of the diagram's
+    tensor, ``nf_to_diagram(nf_of_tensor(eval_diagram(g, ring, leg_cap),
+    ring), dirs=g.boundary)``, and no trace is returned.  With ``want_trace``
+    the constructive procedure runs: crossings are eliminated first, then
+    every generator's normal form is folded into an accumulator following
+    the wiring (juxtapose, then trace each closed edge), and the result is
+    rendered through the template.  The returned trace lists every step as a
+    pair of whole diagrams with equal evaluation.  Both routes give the same
+    output, which always satisfies :func:`is_normal_form`.
     """
     errors = validate(g)
     if errors:
@@ -664,12 +672,15 @@ def normalize(
     if len(g.boundary) > leg_cap:
         raise LegCapError(f"diagram has {len(g.boundary)} open legs (cap {leg_cap})")
 
+    if not want_trace:
+        psi = _fold(g, ring)  # eval_diagram without repeating the checks above
+        return nf_to_diagram(nf_of_tensor(psi, ring), dirs=g.boundary), None
+
     steps: list[TraceStep] = []
     current = g
     for vid in sorted(v for v, k in g.vertices.items() if isinstance(k, Crossing)):
         spliced = _splice_crossing(current, vid)
-        if want_trace:
-            steps.append(TraceStep("crossing-elim", current, spliced))
+        steps.append(TraceStep("crossing-elim", current, spliced))
         current = spliced
 
     state = _FoldState(
@@ -683,11 +694,8 @@ def normalize(
     )
     sides = state.side_of()
 
-    def emit(name: str, before: Diagram | None) -> Diagram | None:
-        if not want_trace:
-            return None
+    def emit(name: str, before: Diagram) -> Diagram:
         after = _snapshot(state)
-        assert before is not None
         steps.append(TraceStep(name, before, after))
         return after
 
@@ -695,7 +703,7 @@ def normalize(
         state.acc = contract(state.acc, t, [], ring)
         state.labels = state.labels + labels
 
-    cursor: Diagram | None = current if want_trace else None
+    cursor = current
 
     # A vertex's score is the change in open accumulator legs that absorbing
     # it would cause: its port count minus twice the edges it would close
@@ -715,7 +723,7 @@ def normalize(
         del score[vid]
         kind = current.vertices[vid]
         added = [sides[(vid, k)] for k in range(port_count(kind))]
-        juxtapose(generator_tensor(kind, ring), added)
+        juxtapose(_generator(kind, ring), added)
         state.absorbed.add(vid)
         for other in neighbours[vid]:
             if other in score:
@@ -740,6 +748,6 @@ def normalize(
         cursor = emit("plugging", cursor)
 
     out = _final_diagram(state)
-    if want_trace and not steps and not (out == current):
+    if not steps and not (out == current):
         steps.append(TraceStep("plugging", current, out))
-    return out, (RewriteTrace(tuple(steps)) if want_trace else None)
+    return out, RewriteTrace(tuple(steps))

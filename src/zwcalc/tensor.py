@@ -17,10 +17,11 @@ significant bit of the mask.  Zero coefficients are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
-from .diagram import BOUNDARY, Black, Crossing, Diagram, VertexKind, White, port_count
+from .diagram import BOUNDARY, Black, Crossing, Diagram, Port, VertexKind, White, port_count
 from .errors import DiagramError, LegCapError
 
 DEFAULT_LEG_CAP = 16
@@ -280,81 +281,24 @@ def tensor_from_text(text: str, ring: Ring = INTEGERS) -> Tensor:
 
 # -- diagram evaluation -------------------------------------------------------
 #
-# Each edge carries one binary variable.  Every vertex becomes a factor over
-# its edges' variables (self-loops are folded into the factor immediately).
-# Internal variables are summed out one at a time; variables touching the
-# boundary survive, and each boundary position reads its edge's bit.
+# Evaluation is one fold over the vertices with the ops above.  Each
+# accumulator leg stands for an open port of an absorbed vertex (or for a
+# boundary end of a bare wire).  A vertex's generator tensor first closes its
+# self-loops with ``trace_pair`` and is then joined to the accumulator by
+# ``contract``, pairing the edges it shares with absorbed vertices.  Bare
+# wires are juxtaposed last, and a final ``permute`` puts the legs in
+# boundary order.  A zero accumulator stays zero, so the fold stops as soon
+# as it empties.
 
 
-@dataclass
-class _Factor:
-    variables: list[int]
-    table: dict[tuple[int, ...], int]
+@lru_cache(maxsize=256)
+def _generator(kind: VertexKind, ring: Ring) -> Tensor:
+    """``generator_tensor`` memoised per (kind, ring), for read-only use.
 
-
-def _vertex_factor(kind: VertexKind, port_vars: list[int], ring: Ring) -> _Factor:
-    tensor = generator_tensor(kind, ring)
-    variables: list[int] = []
-    for var in port_vars:
-        if var not in variables:
-            variables.append(var)
-    table: dict[tuple[int, ...], int] = {}
-    for mask, coeff in tensor.entries.items():
-        assignment: dict[int, int] = {}
-        consistent = True
-        for port, var in enumerate(port_vars):
-            bit = tensor.bit(mask, port)
-            if assignment.setdefault(var, bit) != bit:
-                consistent = False
-                break
-        if not consistent:
-            continue
-        key = tuple(assignment[v] for v in variables)
-        value = ring.reduce(table.get(key, 0) + coeff)
-        if value:
-            table[key] = value
-        else:
-            table.pop(key, None)
-    return _Factor(variables, table)
-
-
-def _join_pair(a: _Factor, b: _Factor, ring: Ring) -> _Factor:
-    """Multiply two factors, matching entries on their shared variables."""
-    shared = [v for v in a.variables if v in b.variables]
-    a_shared = [a.variables.index(v) for v in shared]
-    b_shared = [b.variables.index(v) for v in shared]
-    b_keep = [i for i, v in enumerate(b.variables) if v not in a.variables]
-    variables = a.variables + [b.variables[i] for i in b_keep]
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for key, value in b.table.items():
-        buckets.setdefault(tuple(key[i] for i in b_shared), []).append((key, value))
-    table: dict[tuple[int, ...], int] = {}
-    for key, value in a.table.items():
-        for other, weight in buckets.get(tuple(key[i] for i in a_shared), ()):
-            out = key + tuple(other[i] for i in b_keep)
-            total = ring.reduce(table.get(out, 0) + value * weight)
-            if total:
-                table[out] = total
-            else:
-                table.pop(out, None)
-    return _Factor(variables, table)
-
-
-def _merge_factors(factors: list[_Factor], eliminate: int, ring: Ring) -> _Factor:
-    merged = factors[0]
-    for factor in factors[1:]:
-        merged = _join_pair(merged, factor, ring)
-    index = merged.variables.index(eliminate)
-    variables = merged.variables[:index] + merged.variables[index + 1 :]
-    table: dict[tuple[int, ...], int] = {}
-    for key, value in merged.table.items():
-        out = key[:index] + key[index + 1 :]
-        total = ring.reduce(table.get(out, 0) + value)
-        if total:
-            table[out] = total
-        else:
-            table.pop(out, None)
-    return _Factor(variables, table)
+    The cache is shared: no caller may mutate the result or hand it out.
+    The ops copy their inputs, so a tensor they return never shares it.
+    """
+    return generator_tensor(kind, ring)
 
 
 def eval_diagram(
@@ -364,10 +308,12 @@ def eval_diagram(
 ) -> Tensor:
     """Contract a diagram to its tensor.
 
-    Internal edges are summed out greedily: next is the one whose factors
-    have the smallest product of table sizes, ties going to the one that
-    leaves fewer open legs.  Raises :class:`LegCapError` when the diagram has
-    more open legs than ``leg_cap`` (the guard against dense results).
+    Vertices are absorbed frontier-first: next is the pending neighbour of
+    the absorbed vertices with the lowest score, its port count minus twice
+    the edges it would close, ties going to the lowest id.  Only when no
+    pending vertex has an absorbed neighbour is the minimum taken over all
+    of them.  Raises :class:`LegCapError` when the diagram has more open
+    legs than ``leg_cap`` (the guard against dense results).
     """
     errors = g.validate()
     if errors:
@@ -376,72 +322,70 @@ def eval_diagram(
         raise DiagramError("cannot evaluate a diagram with unwired boundary legs")
     if len(g.boundary) > leg_cap:
         raise LegCapError(f"diagram has {len(g.boundary)} open legs (cap {leg_cap})")
+    return _fold(g, ring)
 
-    var_of_port: dict[tuple[int, int], int] = {}
-    for index, (p, q) in enumerate(g.edges):
-        var_of_port[p] = index
-        var_of_port[q] = index
-    boundary_vars = {
-        var_of_port[(BOUNDARY, position)] for position in range(len(g.boundary))
-    }
 
-    factors: list[_Factor] = []
-    for vid in sorted(g.vertices):
-        kind = g.vertices[vid]
-        ports = [var_of_port[(vid, k)] for k in range(port_count(kind))]
-        factors.append(_vertex_factor(kind, ports, ring))
-
-    internal = sorted(
-        {var for factor in factors for var in factor.variables} - boundary_vars
-    )
-    remaining = set(internal)
-    while remaining:
-        best: tuple[int, int, int] | None = None
-        for candidate in sorted(remaining):
-            touched = [f for f in factors if candidate in f.variables]
-            work = 1
-            for f in touched:
-                work *= len(f.table)
-            open_legs = len(
-                {v for f in touched for v in f.variables if v != candidate}
-            )
-            score = (work, open_legs, candidate)
-            if best is None or score < best:
-                best = score
-        assert best is not None
-        var = best[2]
-        touched = [f for f in factors if var in f.variables]
-        factors = [f for f in factors if var not in f.variables]
-        factors.append(_merge_factors(touched, var, ring))
-        remaining.discard(var)
-
+def _fold(g: Diagram, ring: Ring) -> Tensor:
+    """``eval_diagram`` of a diagram its caller has already checked."""
+    zero = Tensor(len(g.boundary), {})
     scalar = ring.reduce(pow(2, g.circles))
-    legs = len(g.boundary)
-    leg_vars = [var_of_port[(BOUNDARY, position)] for position in range(legs)]
-    free_vars = sorted(set(leg_vars) - {v for f in factors for v in f.variables})
+    if not scalar:
+        return zero
+    acc = Tensor(0, {0: scalar})
+    labels: list[Port] = []  # the open port each accumulator leg stands for
+    partner = g.port_partner()
 
-    # Surviving factors touch disjoint boundary variables, so the result is
-    # their product; bare-wire variables are free and range over both bits.
-    entries: dict[int, int] = {}
-    for combo in product(*(f.table.items() for f in factors)):
-        coeff = scalar
-        assignment: dict[int, int] = {}
-        for factor, (key, value) in zip(factors, combo):
-            coeff *= value
-            for v, bit in zip(factor.variables, key):
-                assignment[v] = bit
-        for free_bits in product((0, 1), repeat=len(free_vars)):
-            for v, bit in zip(free_vars, free_bits):
-                assignment[v] = bit
-            mask = 0
-            for position, var in enumerate(leg_vars):
-                mask |= assignment[var] << (legs - 1 - position)
-            value = ring.reduce(entries.get(mask, 0) + coeff)
-            if value:
-                entries[mask] = value
-            else:
-                entries.pop(mask, None)
-    return Tensor(legs, entries)
+    neighbours: dict[int, list[int]] = {vid: [] for vid in g.vertices}
+    score = {vid: port_count(kind) for vid, kind in g.vertices.items()}
+    for p, q in g.edges:
+        if p[0] == q[0] != BOUNDARY:
+            score[p[0]] -= 2
+        elif p[0] != BOUNDARY and q[0] != BOUNDARY:
+            neighbours[p[0]].append(q[0])
+            neighbours[q[0]].append(p[0])
+    frontier: set[int] = set()
+
+    while score:
+        vid = min(frontier or score, key=lambda v: (score[v], v))
+        del score[vid]
+        frontier.discard(vid)
+        for other in neighbours[vid]:
+            if other in score:
+                score[other] -= 2
+                frontier.add(other)
+        kind = g.vertices[vid]
+        t = _generator(kind, ring)
+        ports = [(vid, k) for k in range(port_count(kind))]
+        for k in range(len(ports)):
+            other = partner[(vid, k)]
+            if other[0] == vid and k < other[1]:
+                t = trace_pair(t, ports.index((vid, k)), ports.index(other), ring)
+                ports.remove((vid, k))
+                ports.remove(other)
+        pairing = []
+        for j, port in enumerate(ports):
+            other = partner[port]
+            if other[0] != BOUNDARY and other[0] not in score:
+                pairing.append((labels.index(other), j))
+        acc = contract(acc, t, pairing, ring)
+        if not acc.entries:
+            return zero
+        paired_acc = {i for i, _ in pairing}
+        paired_t = {j for _, j in pairing}
+        labels = [lab for i, lab in enumerate(labels) if i not in paired_acc]
+        labels += [port for j, port in enumerate(ports) if j not in paired_t]
+
+    for p, q in g.edges:
+        if p[0] == q[0] == BOUNDARY:
+            acc = contract(acc, wire_tensor(ring), [], ring)
+            labels += [p, q]
+
+    order = []
+    for position in range(len(g.boundary)):
+        port = (BOUNDARY, position)
+        other = partner[port]
+        order.append(labels.index(port if other[0] == BOUNDARY else other))
+    return permute(acc, order)
 
 
 # The API name for evaluation; the module keeps the explicit name as well.

@@ -29,9 +29,9 @@ from .diagram import (
     Black,
     Crossing,
     Diagram,
+    VertexKind,
     White,
-    permute_boundary,
-    plug,
+    _resolve_wires,
 )
 from .errors import DiagramError, TermSyntaxError, TermTypeError
 
@@ -273,29 +273,23 @@ def term_to_text(term: Term) -> str:
 
 # -- term to diagram ----------------------------------------------------------
 
+#: The wires of each wiring-only generator, as pairs of its leg positions
+#: (inputs first, then outputs).
+_WIRES: dict[type, tuple[tuple[int, int], ...]] = {
+    Id: ((0, 1),),
+    Swap: ((0, 3), (1, 2)),
+    Cup: ((0, 1),),
+    Cap: ((0, 1),),
+}
 
-def _wire_diagram(edge_pairs: list[tuple[int, int]], dirs: list[str]) -> Diagram:
-    edges = tuple(((BOUNDARY, a), (BOUNDARY, b)) for a, b in edge_pairs)
-    return Diagram({}, edges, tuple(dirs))
 
-
-def _generator_diagram(term: Term) -> Diagram:
-    if isinstance(term, Id):
-        return _wire_diagram([(0, 1)], ["in", "out"])
-    if isinstance(term, Swap):
-        return _wire_diagram([(0, 3), (1, 2)], ["in", "in", "out", "out"])
-    if isinstance(term, Cup):
-        return _wire_diagram([(0, 1)], ["out", "out"])
-    if isinstance(term, Cap):
-        return _wire_diagram([(0, 1)], ["in", "in"])
+def _vertex_kind(term: Term) -> VertexKind:
     if isinstance(term, Cross):
-        edges = tuple(((BOUNDARY, k), (0, k)) for k in range(4))
-        return Diagram({0: Crossing()}, edges, ("in", "in", "out", "out"))
-    assert isinstance(term, (WGen, ZGen))
-    kind = Black(term.n_in + term.n_out) if isinstance(term, WGen) else White(term.n_in + term.n_out)
-    edges = tuple(((BOUNDARY, k), (0, k)) for k in range(kind.arity))
-    dirs = ("in",) * term.n_in + ("out",) * term.n_out
-    return Diagram({0: kind}, edges, dirs)
+        return Crossing()
+    if isinstance(term, WGen):
+        return Black(term.n_in + term.n_out)
+    assert isinstance(term, ZGen)
+    return White(term.n_in + term.n_out)
 
 
 def from_term(term: Term) -> Diagram:
@@ -304,29 +298,49 @@ def from_term(term: Term) -> Diagram:
     The boundary lists the term's inputs first, then its outputs.  Sequential
     composition plugs outputs into inputs; a count mismatch raises
     :class:`TermTypeError` pointing at the offending ``;``.
+
+    One walk gives every generator leg a wire end of its own (an integer),
+    numbers the vertices lower/left first, and records the wire pieces:
+    those inside each generator and one per leg joined across a ``;``.  The
+    pieces are then resolved into edges once, so the cost is linear in the
+    term's size.
     """
-    if isinstance(term, Seq):
-        lower, upper = from_term(term.lower), from_term(term.upper)
-        if term.lower.outs != term.upper.ins:
-            raise TermTypeError(
-                f"composition at column {term.pos}: lower side has "
-                f"{term.lower.outs} outputs but upper side expects {term.upper.ins} inputs"
-            )
-        pairing = [(term.lower.ins + k, k) for k in range(term.lower.outs)]
-        return plug(lower, upper, pairing)
-    if isinstance(term, Par):
-        left, right = from_term(term.left), from_term(term.right)
-        combined = plug(left, right, [])
-        li, lo = term.left.ins, term.left.outs
-        ri, ro = term.right.ins, term.right.outs
-        order = (
-            list(range(li))
-            + [li + lo + k for k in range(ri)]
-            + [li + k for k in range(lo)]
-            + [li + lo + ri + k for k in range(ro)]
-        )
-        return permute_boundary(combined, order)
-    return _generator_diagram(term)
+    vertices: dict[int, VertexKind] = {}
+    segments: list[tuple[object, object]] = []
+    count = 0
+
+    def walk(node: Term) -> tuple[list[int], list[int]]:
+        """The wire ends of ``node``'s inputs and of its outputs."""
+        nonlocal count
+        if isinstance(node, Seq):
+            lower_ins, lower_outs = walk(node.lower)
+            upper_ins, upper_outs = walk(node.upper)
+            if len(lower_outs) != len(upper_ins):
+                raise TermTypeError(
+                    f"composition at column {node.pos}: lower side has "
+                    f"{len(lower_outs)} outputs but upper side expects {len(upper_ins)} inputs"
+                )
+            segments.extend(zip(lower_outs, upper_ins))
+            return lower_ins, upper_outs
+        if isinstance(node, Par):
+            left_ins, left_outs = walk(node.left)
+            right_ins, right_outs = walk(node.right)
+            return left_ins + right_ins, left_outs + right_outs
+        legs = list(range(count, count + node.ins + node.outs))
+        count += len(legs)
+        if type(node) in _WIRES:
+            segments.extend((legs[a], legs[b]) for a, b in _WIRES[type(node)])
+        else:
+            vid = len(vertices)
+            vertices[vid] = _vertex_kind(node)
+            segments.extend(((vid, k), end) for k, end in enumerate(legs))
+        return legs[: node.ins], legs[node.ins :]
+
+    ins, outs = walk(term)
+    boundary = {end: (BOUNDARY, position) for position, end in enumerate(ins + outs)}
+    wires, circles = _resolve_wires(segments, set(range(count)) - boundary.keys())
+    edges = tuple((boundary.get(p, p), boundary.get(q, q)) for p, q in wires)
+    return Diagram(vertices, edges, ("in",) * len(ins) + ("out",) * len(outs), circles)
 
 
 # -- diagram to term ----------------------------------------------------------

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zwcalc.fuzz as fuzz
+from helpers import triangle
 from zwcalc.diagram import Crossing, port_count, validate
 from zwcalc.fuzz import FuzzReport, check_diagram, random_diagram, run_fuzz
 from zwcalc.jsonio import diagram_to_json
+from zwcalc.normalform import NormalForm, is_normal_form, nf_to_diagram, normalize
 from zwcalc.tensor import IntegersMod
 
 
@@ -52,6 +54,18 @@ class TestCheckDiagram:
         for i in range(25):
             g = random_diagram(random.Random(f"check:{i}"), 6, 4, 4)
             assert check_diagram(g)
+
+    def test_rejects_a_normal_form_with_one_sign_flipped(self, monkeypatch):
+        def flipped(g, ring, leg_cap):
+            out, _ = normalize(g, ring, leg_cap=leg_cap)
+            form = is_normal_form(out)
+            first = form.terms[0]
+            terms = (first._replace(p=1 - first.p),) + form.terms[1:]
+            return nf_to_diagram(NormalForm(form.legs, terms), dirs=g.boundary), None
+
+        assert check_diagram(triangle())
+        monkeypatch.setattr(fuzz, "normalize", flipped)
+        assert not check_diagram(triangle())
 
     def test_supports_modular_rings(self):
         for i in range(10):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,8 @@ from zwcalc.diagram import (
     port_count,
 )
 from zwcalc.errors import DiagramError, LegCapError
+from zwcalc.fuzz import random_diagram
+from zwcalc.jsonio import diagram_to_json
 from zwcalc.normalform import (
     NFTerm,
     NormalForm,
@@ -47,9 +52,18 @@ from zwcalc.tensor import (
     permute,
     reduce_tensor,
     tensor_equal,
+    tensor_to_text,
     trace_pair,
 )
 from zwcalc.term import from_term, parse_term
+
+#: The rungs of the crossing ladders in the pinned-output test.
+LADDER_RUNGS = (
+    "w(1,2) ; x ; w(2,1)",
+    "w(1,2) ; x ; swap ; w(2,1)",
+    "w(1,2) ; x ; (z(1,1) * id) ; w(2,1)",
+    "w(1,2) ; x ; (id * z(1,1)) ; w(2,1)",
+)
 
 X_STATE_TERMS = (
     NFTerm(0, 1, "0000"),
@@ -321,6 +335,36 @@ class TestNormalize:
             nf_to_diagram(form, dirs=g.boundary)
         )
         assert oracle_matches_tensor(g, eval_diagram(nf_to_diagram(form), INTEGERS))
+
+    @given(
+        g=diagrams("routes", max_vertices=5, max_arity=3, max_legs=3),
+        mod=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    )
+    @settings(max_examples=60)
+    def test_traced_fold_and_untraced_evaluation_agree(self, g, mod):
+        ring = INTEGERS if mod is None else IntegersMod(mod)
+        untraced, no_trace = normalize(g, ring)
+        traced, trace = normalize(g, ring, want_trace=True)
+        assert no_trace is None and trace is not None
+        assert traced == untraced
+
+    def test_untraced_outputs_are_pinned(self):
+        # The digest of the untraced output JSON and the evaluated tensor's
+        # text over Z, Z/2 and Z/3, on seeded fuzz diagrams and 4-rung
+        # crossing ladders.
+        diagrams_ = [random_diagram(random.Random(f"golden:{i}")) for i in range(300)]
+        for i in range(30):
+            rng = random.Random(f"golden-ladder:{i}")
+            text = " ; ".join(f"({rng.choice(LADDER_RUNGS)})" for _ in range(4))
+            diagrams_.append(from_term(parse_term(text)))
+        digest = hashlib.sha256()
+        for g in diagrams_:
+            for ring in (INTEGERS, IntegersMod(2), IntegersMod(3)):
+                digest.update((diagram_to_json(normalize(g, ring)[0]) + "\n").encode())
+                digest.update((tensor_to_text(eval_diagram(g, ring)) + "\n").encode())
+        assert digest.hexdigest() == (
+            "e7494048ecdae826ab00721dc32ca18f4462dfb4639ebf7dd09110fee5c62a01"
+        )
 
     @given(g=diagrams("audit", max_vertices=4, max_arity=3, max_legs=3))
     @settings(max_examples=25)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import circle, diagrams, self_crossed_wire, tensors, wire
+from helpers import circle, crossing_state, diagrams, self_crossed_wire, tensors, triangle, wire
 from oracle import oracle_contract, oracle_matches_tensor, oracle_permute, oracle_trace
-from zwcalc.diagram import Black, Crossing, Diagram, White
+from zwcalc.diagram import BOUNDARY, Black, Crossing, Diagram, White
 from zwcalc.errors import LegCapError
 from zwcalc.tensor import (
     INTEGERS,
@@ -142,6 +142,33 @@ class TestEval:
     @settings(max_examples=150)
     def test_agrees_with_the_brute_force_oracle(self, g):
         assert oracle_matches_tensor(g, eval_diagram(g, INTEGERS))
+
+    @given(diagrams("zero-exit", max_vertices=5), st.sampled_from([Black(0), White(0)]), moduli)
+    @example(crossing_state(), Black(0), None)
+    @example(self_crossed_wire(), White(0), 3)
+    def test_a_nullary_vertex_empties_the_fold_early(self, g, kind, mod):
+        # Vertex 0 scores 0 and has the lowest id, so it is absorbed first
+        # and the accumulator is empty while the other vertices are pending.
+        def shift(port):
+            return port if port[0] == BOUNDARY else (port[0] + 1, port[1])
+
+        vertices = {0: kind, **{vid + 1: k for vid, k in g.vertices.items()}}
+        edges = tuple((shift(p), shift(q)) for p, q in g.edges)
+        h = Diagram(vertices, edges, g.boundary, g.circles)
+        got = eval_diagram(h, ring_of(mod))
+        assert got.legs == len(h.boundary) and got.is_zero()
+        assert oracle_matches_tensor(h, got, mod)
+
+    def test_results_share_no_entries_with_cached_generators(self):
+        edges = tuple(((0, k), (BOUNDARY, k)) for k in range(3))
+        single = Diagram({0: Black(3)}, edges, ("out",) * 3)
+        for g in (single, crossing_state(), triangle(), wire(), circle()):
+            for ring in (INTEGERS, IntegersMod(3)):
+                first = eval_diagram(g, ring)
+                want = dict(first.entries)
+                first.entries.clear()
+                first.entries[0] = 7
+                assert eval_diagram(g, ring).entries == want
 
     @given(diagrams("mod"), st.sampled_from([2, 3, 5]))
     def test_modular_eval_is_reduction(self, g, n):

@@ -2,13 +2,83 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from helpers import diagrams
-from zwcalc.diagram import Black, Diagram, White, isomorphic, validate, with_boundary_dirs
+from zwcalc.diagram import (
+    Black,
+    Diagram,
+    White,
+    isomorphic,
+    permute_boundary,
+    plug,
+    validate,
+    with_boundary_dirs,
+)
 from zwcalc.errors import DiagramError, TermSyntaxError, TermTypeError
-from zwcalc.term import from_term, parse_term, term_to_text, to_term
+from zwcalc.term import (
+    Cap,
+    Cross,
+    Cup,
+    Id,
+    Par,
+    Seq,
+    Swap,
+    WGen,
+    ZGen,
+    from_term,
+    parse_term,
+    term_to_text,
+    to_term,
+)
+
+
+def plugged_from_term(term):
+    """``from_term`` node by node: plug whole subdiagrams at each ``;`` and
+    ``*``.  Quadratic in the term's depth, but built on ``plug`` alone."""
+    if isinstance(term, Seq):
+        lower, upper = plugged_from_term(term.lower), plugged_from_term(term.upper)
+        if term.lower.outs != term.upper.ins:
+            raise TermTypeError(
+                f"composition at column {term.pos}: lower side has "
+                f"{term.lower.outs} outputs but upper side expects {term.upper.ins} inputs"
+            )
+        return plug(lower, upper, [(term.lower.ins + k, k) for k in range(term.lower.outs)])
+    if isinstance(term, Par):
+        left, right = plugged_from_term(term.left), plugged_from_term(term.right)
+        li, lo, ri, ro = term.left.ins, term.left.outs, term.right.ins, term.right.outs
+        order = (
+            list(range(li))
+            + [li + lo + k for k in range(ri)]
+            + [li + k for k in range(lo)]
+            + [li + lo + ri + k for k in range(ro)]
+        )
+        return permute_boundary(plug(left, right, []), order)
+    return from_term(term)  # a single generator
+
+
+def random_term(rng: random.Random, depth: int):
+    """A random term tree, well typed or not, with random source columns."""
+    if depth == 0 or rng.random() < 0.3:
+        simple = [Id, Swap, Cup, Cap, Cross]
+        choice = rng.randrange(len(simple) + 2)
+        if choice < len(simple):
+            return simple[choice](rng.randrange(1, 99))
+        cls = WGen if choice == len(simple) else ZGen
+        return cls(rng.randrange(1, 99), rng.randrange(3), rng.randrange(3))
+    cls = Seq if rng.random() < 0.5 else Par
+    return cls(rng.randrange(1, 99), random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def outcome(build, term):
+    try:
+        return build(term)
+    except TermTypeError as err:
+        return str(err)
 
 
 class TestParsing:
@@ -60,6 +130,21 @@ class TestParsing:
         with pytest.raises(TermTypeError):
             from_term(parse_term("w(0,2) ; w(0,2)"))
 
+    def test_type_errors_name_the_first_bad_composition(self):
+        # Both sides of the outer ';' are ill-typed, and so is the outer ';'
+        # itself; the lower side is checked first.
+        with pytest.raises(TermTypeError) as err:
+            from_term(parse_term("(w(0,2) ; w(1,0)) ; (id ; w(2,0))"))
+        assert str(err.value) == (
+            "composition at column 9: lower side has 2 outputs but upper side expects 1 inputs"
+        )
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_plugging_node_by_node(self, seed):
+        rng = random.Random(f"terms:{seed}")
+        term = random_term(rng, rng.randrange(1, 6))
+        assert outcome(from_term, term) == outcome(plugged_from_term, term)
+
 
 class TestWiring:
     def test_zigzag_collapses_to_identity_wire(self):
@@ -103,4 +188,6 @@ class TestToTerm:
     def test_roundtrip_on_random_states(self, g):
         assume(g.vertices or g.edges or g.circles)
         state = with_boundary_dirs(g, ["out"] * len(g.boundary))
-        assert isomorphic(from_term(to_term(state)), state)
+        term = to_term(state)
+        assert isomorphic(from_term(term), state)
+        assert from_term(term) == plugged_from_term(term)
