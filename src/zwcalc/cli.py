@@ -100,7 +100,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_nf_of_tensor(args: argparse.Namespace) -> int:
     ring = _ring(args)
-    nf = nf_of_tensor(tensor_from_text(_read(args.input)))
+    try:
+        psi = tensor_from_text(_read(args.input))
+    except ValueError as err:
+        raise DiagramError(f"bad tensor file: {err}") from err
+    nf = nf_of_tensor(psi)
     if isinstance(ring, IntegersMod):
         nf = reduce_mod(nf, ring.n)
     print(nf_to_json(nf), end="")

@@ -58,7 +58,7 @@ def diagram_from_obj(obj: Any) -> Diagram:
     if not isinstance(obj, dict):
         raise DiagramError("graph document must be a JSON object")
     vertices: dict[int, Any] = {}
-    for record in obj.get("vertices", ()):
+    for record in _list(obj, "vertices"):
         try:
             vid, kind = record["id"], record["kind"]
         except (TypeError, KeyError) as err:
@@ -90,9 +90,16 @@ def diagram_from_obj(obj: Any) -> Diagram:
             raise DiagramError(f"bad port reference {ref!r}")
         return (owner, index)
 
-    edges = tuple((port(p), port(q)) for p, q in obj.get("edges", ()))
+    def edge(pair: Any) -> tuple[Port, Port]:
+        try:
+            p, q = pair
+        except (TypeError, ValueError) as err:
+            raise DiagramError(f"bad edge {pair!r}") from err
+        return port(p), port(q)
+
+    edges = tuple(edge(pair) for pair in _list(obj, "edges"))
     boundary = []
-    for record in obj.get("boundary", ()):
+    for record in _list(obj, "boundary"):
         if not isinstance(record, dict) or "dir" not in record:
             raise DiagramError(f"boundary record {record!r} lacks a dir")
         boundary.append(record["dir"])
@@ -112,6 +119,14 @@ def diagram_to_json(g: Diagram) -> str:
 
 def diagram_from_json(text: str) -> Diagram:
     return diagram_from_obj(loads(text))
+
+
+def _list(obj: dict[str, Any], key: str) -> list[Any]:
+    """The list under ``key`` of a graph document; absent means empty."""
+    value = obj.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise DiagramError(f"{key!r} must be a list, got {value!r}")
+    return list(value)
 
 
 def _arity(record: dict[str, Any]) -> int:

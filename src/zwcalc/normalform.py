@@ -32,12 +32,16 @@ with juxtaposition and traces, recording an audit trace whose steps are
 honest diagrams with unchanged evaluation.  Both routes reach the same
 output.
 
-There is one arithmetic, the bitmask tensor ops of :mod:`zwcalc.tensor`.  A
-``NormalForm`` is a canonical view of a tensor (``nf_of_tensor``).  The
-traced fold's accumulator is a mask-keyed ``Tensor``: juxtaposition is
-``contract`` with an empty pairing and a closed edge is ``trace_pair``; the
-accumulator is read as a normal form only for trace snapshots and the
-output.  The lemma operations (``negate_end``, ``trace_ends``,
+There is one arithmetic, the bitmask tensor ops of :mod:`zwcalc.tensor`,
+and one schedule.  A ``NormalForm`` is a canonical view of a tensor
+(``nf_of_tensor``).  The traced fold absorbs vertices in ``eval_diagram``'s
+frontier-first order, and its accumulator is a mask-keyed ``Tensor`` whose
+legs are labelled by open port: juxtaposition is ``contract`` with an empty
+pairing and a closed edge is ``trace_pair``.  The accumulator is read as a
+normal form only for trace snapshots and the output.  A crossing splice and
+a trace snapshot are one operation, ``_plug_template``: open the ports of
+the replaced vertices as extra boundary legs and ``plug`` a template onto
+them.  The lemma operations (``negate_end``, ``trace_ends``,
 ``plug_normal_forms``, ``permute_legs``, ``reduce_mod``) are views too: the
 normal form's tensor, one tensor op, then ``nf_of_tensor``.
 """
@@ -56,7 +60,6 @@ from .diagram import (
     Port,
     VertexKind,
     White,
-    _resolve_wires,
     plug,
     port_count,
     validate,
@@ -68,6 +71,8 @@ from .tensor import (
     IntegersMod,
     Ring,
     Tensor,
+    _absorption_order,
+    _boundary_order,
     _fold,
     _generator,
     contract,
@@ -482,21 +487,44 @@ def _parse_gadget(
 # -- crossing elimination -------------------------------------------------------
 
 
+def _plug_template(
+    g: Diagram,
+    vids: set[int],
+    t: Tensor,
+    labels: Sequence[Port],
+    ring: Ring,
+    circles: int,
+) -> Diagram:
+    """Replace vertices ``vids`` of g by the template of a tensor on their open ports.
+
+    Leg k of ``t`` stands for ``labels[k]``: an open port of a vertex in
+    ``vids``, or a boundary end of a bare wire that ``t`` has absorbed.
+    Those ports are opened as extra boundary legs of g, edges between two
+    ports of ``vids`` that no label names are dropped, and the template of
+    ``t`` is plugged onto the extra legs.  ``circles`` is the circle count
+    of the opened diagram.
+    """
+    base = len(g.boundary)
+    leg = {port: (BOUNDARY, base + k) for k, port in enumerate(labels)}
+    edges = []
+    for p, q in g.edges:
+        if p[0] == q[0] == BOUNDARY and p in leg:  # an absorbed bare wire
+            edges += [(p, leg[p]), (q, leg[q])]
+        elif p in leg or q in leg or (p[0] not in vids and q[0] not in vids):
+            edges.append((leg.get(p, p), leg.get(q, q)))
+    vertices = {vid: kind for vid, kind in g.vertices.items() if vid not in vids}
+    opened = Diagram(vertices, tuple(edges), g.boundary + ("out",) * len(labels), circles)
+    template = nf_to_diagram(nf_of_tensor(t, ring))
+    return plug(opened, template, [(base + k, k) for k in range(len(labels))])
+
+
 def _splice_crossing(g: Diagram, vid: int) -> Diagram:
     """Replace one crossing vertex by the template of its normal form."""
     kind = g.vertices[vid]
     if not isinstance(kind, Crossing):
         raise DiagramError(f"vertex {vid} is not a crossing")
-    base = len(g.boundary)
-    vertices = {w: k for w, k in g.vertices.items() if w != vid}
-    edges = []
-    for p, q in g.edges:
-        p2 = (BOUNDARY, base + p[1]) if p[0] == vid else p
-        q2 = (BOUNDARY, base + q[1]) if q[0] == vid else q
-        edges.append((p2, q2))
-    opened = Diagram(vertices, tuple(edges), g.boundary + ("out",) * 4, g.circles)
-    template = nf_to_diagram(nf_of_tensor(generator_tensor(kind)))
-    return plug(opened, template, [(base + k, k) for k in range(4)])
+    ports = [(vid, k) for k in range(4)]
+    return _plug_template(g, {vid}, generator_tensor(kind), ports, INTEGERS, g.circles)
 
 
 def eliminate_crossings(g: Diagram) -> Diagram:
@@ -525,127 +553,6 @@ class RewriteTrace:
     steps: tuple[TraceStep, ...]
 
 
-@dataclass
-class _FoldState:
-    """Bookkeeping for the generator fold.
-
-    The accumulator is a mask-keyed :class:`Tensor` over the ring; it is read
-    as a :class:`NormalForm` only for trace snapshots and the final output.
-    Its legs are labeled (edge index, endpoint side); an edge whose two
-    labels are both present is ready to be traced.
-    """
-
-    diagram: Diagram
-    ring: Ring
-    acc: Tensor
-    labels: list[tuple[int, int]]
-    absorbed: set[int]
-    wires_done: set[int]
-    circles_left: int
-
-    def side_of(self) -> dict[Port, tuple[int, int]]:
-        sides: dict[Port, tuple[int, int]] = {}
-        for index, (p, q) in enumerate(self.diagram.edges):
-            sides[p] = (index, 0)
-            sides[q] = (index, 1)
-        return sides
-
-    def done(self) -> bool:
-        bare = {
-            e
-            for e, (p, q) in enumerate(self.diagram.edges)
-            if p[0] == BOUNDARY and q[0] == BOUNDARY
-        }
-        return (
-            self.absorbed == set(self.diagram.vertices)
-            and self.wires_done == bare
-            and self.circles_left == 0
-            and len(self.labels) == len(self.diagram.boundary)
-        )
-
-    def untouched(self) -> bool:
-        return not self.absorbed and not self.wires_done and self.circles_left == self.diagram.circles
-
-
-def _final_diagram(state: _FoldState) -> Diagram:
-    """Permute the accumulator to boundary order and build the output."""
-    g = state.diagram
-    sides = state.side_of()
-    order = []
-    for position in range(len(g.boundary)):
-        e, s = sides[(BOUNDARY, position)]
-        p, q = g.edges[e]
-        if p[0] == BOUNDARY and q[0] == BOUNDARY:
-            order.append(state.labels.index((e, s)))
-        else:
-            order.append(state.labels.index((e, 1 - s)))
-    return nf_to_diagram(nf_of_tensor(permute(state.acc, order), state.ring), dirs=g.boundary)
-
-
-def _snapshot(state: _FoldState) -> Diagram:
-    """An eval-preserving diagram for the fold's current position."""
-    if state.untouched():
-        return state.diagram
-    if state.done():
-        return _final_diagram(state)
-    g = state.diagram
-    acc_diagram = nf_to_diagram(nf_of_tensor(state.acc, state.ring))
-    offset = max(g.vertices, default=-1) + 1
-    vertices: dict[int, VertexKind] = {
-        vid: kind for vid, kind in g.vertices.items() if vid not in state.absorbed
-    }
-    for vid, kind in acc_diagram.vertices.items():
-        vertices[vid + offset] = kind
-
-    label_index = {label: i for i, label in enumerate(state.labels)}
-    segments: list[tuple[object, object]] = []
-    junctions: set = set()
-    for e, (p, q) in enumerate(g.edges):
-        have = [s for s in (0, 1) if (e, s) in label_index]
-        endpoints = (p, q)
-        if not have:
-            if any(pt[0] != BOUNDARY and pt[0] in state.absorbed for pt in endpoints):
-                continue  # traced away
-            segments.append((_host_point(endpoints[0]), _host_point(endpoints[1])))
-        elif len(have) == 1:
-            s = have[0]
-            marker = ("acc", label_index[(e, s)])
-            junctions.add(marker)
-            segments.append((marker, _host_point(endpoints[1 - s])))
-        elif endpoints[0][0] == BOUNDARY:
-            for s in (0, 1):
-                marker = ("acc", label_index[(e, s)])
-                junctions.add(marker)
-                segments.append((marker, _host_point(endpoints[s])))
-        else:
-            markers = tuple(("acc", label_index[(e, s)]) for s in (0, 1))
-            junctions.update(markers)
-            segments.append(markers)
-    for ap, aq in acc_diagram.edges:
-        segments.append((_acc_point(ap, offset), _acc_point(aq, offset)))
-
-    wires, extra = _resolve_wires(segments, junctions)
-
-    def back(point: object) -> Port:
-        assert isinstance(point, tuple)
-        if point[0] == "b":
-            return (BOUNDARY, point[1])
-        return point  # already a vertex port
-
-    edges = tuple((back(p), back(q)) for p, q in wires)
-    return Diagram(vertices, edges, g.boundary, state.circles_left + extra)
-
-
-def _host_point(endpoint: Port) -> object:
-    return ("b", endpoint[1]) if endpoint[0] == BOUNDARY else endpoint
-
-
-def _acc_point(endpoint: Port, offset: int) -> object:
-    if endpoint[0] == BOUNDARY:
-        return ("acc", endpoint[1])
-    return (endpoint[0] + offset, endpoint[1])
-
-
 def normalize(
     g: Diagram,
     ring: Ring = INTEGERS,
@@ -658,11 +565,13 @@ def normalize(
     tensor, ``nf_to_diagram(nf_of_tensor(eval_diagram(g, ring, leg_cap),
     ring), dirs=g.boundary)``, and no trace is returned.  With ``want_trace``
     the constructive procedure runs: crossings are eliminated first, then
-    every generator's normal form is folded into an accumulator following
-    the wiring (juxtapose, then trace each closed edge), and the result is
-    rendered through the template.  The returned trace lists every step as a
-    pair of whole diagrams with equal evaluation.  Both routes give the same
-    output, which always satisfies :func:`is_normal_form`.
+    every generator's normal form is folded into an accumulator in
+    ``eval_diagram``'s frontier-first order (juxtapose, then trace each
+    closed edge), bare wires and circles are plugged in last, and the result
+    is rendered through the template.  The returned trace lists every step
+    as a pair of whole diagrams with equal evaluation; the last step's
+    ``after`` is the output.  Both routes give the same output, which always
+    satisfies :func:`is_normal_form`.
     """
     errors = validate(g)
     if errors:
@@ -683,71 +592,50 @@ def normalize(
         steps.append(TraceStep("crossing-elim", current, spliced))
         current = spliced
 
-    state = _FoldState(
-        diagram=current,
-        ring=ring,
-        acc=scalar_tensor(1, ring),
-        labels=[],
-        absorbed=set(),
-        wires_done=set(),
-        circles_left=current.circles,
-    )
-    sides = state.side_of()
+    # As in eval_diagram's fold, accumulator leg k stands for the open port
+    # labels[k].  A snapshot plugs the accumulator's template in place of the
+    # absorbed vertices, its legs sorted by the port they face; once every
+    # leg faces the boundary, that is the output template itself.
+    partner = current.port_partner()
+    acc = scalar_tensor(1, ring)
+    labels: list[Port] = []
+    absorbed: set[int] = set()
+    circles = current.circles
 
-    def emit(name: str, before: Diagram) -> Diagram:
-        after = _snapshot(state)
-        steps.append(TraceStep(name, before, after))
-        return after
+    def emit(name: str) -> None:
+        order = _boundary_order(labels, partner)
+        snapshot = _plug_template(
+            current, absorbed, permute(acc, order), [labels[k] for k in order], ring, circles
+        )
+        steps.append(TraceStep(name, steps[-1].after if steps else current, snapshot))
 
-    def juxtapose(t: Tensor, labels: list[tuple[int, int]]) -> None:
-        state.acc = contract(state.acc, t, [], ring)
-        state.labels = state.labels + labels
-
-    cursor = current
-
-    # A vertex's score is the change in open accumulator legs that absorbing
-    # it would cause: its port count minus twice the edges it would close
-    # (self-loops and edges to absorbed vertices).  Absorbing a vertex only
-    # changes the scores of its pending neighbours.
-    neighbours: dict[int, list[int]] = {vid: [] for vid in current.vertices}
-    score = {vid: port_count(kind) for vid, kind in current.vertices.items()}
-    for p, q in current.edges:
-        if p[0] == q[0] != BOUNDARY:
-            score[p[0]] -= 2
-        elif p[0] != BOUNDARY and q[0] != BOUNDARY:
-            neighbours[p[0]].append(q[0])
-            neighbours[q[0]].append(p[0])
-
-    while score:
-        vid = min(score, key=lambda v: (score[v], v))
-        del score[vid]
+    for vid in _absorption_order(current):
         kind = current.vertices[vid]
-        added = [sides[(vid, k)] for k in range(port_count(kind))]
-        juxtapose(_generator(kind, ring), added)
-        state.absorbed.add(vid)
-        for other in neighbours[vid]:
-            if other in score:
-                score[other] -= 2
-        cursor = emit("generator-nf", cursor)
-        present = set(state.labels)
-        for e in sorted({e for e, s in added if (e, 1 - s) in present}):
-            i, j = state.labels.index((e, 0)), state.labels.index((e, 1))
-            state.acc = trace_pair(state.acc, i, j, ring)
-            state.labels = [lab for lab in state.labels if lab[0] != e]
-            cursor = emit("trace", cursor)
+        ports = [(vid, k) for k in range(port_count(kind))]
+        acc = contract(acc, _generator(kind, ring), [], ring)
+        labels += ports
+        absorbed.add(vid)
+        emit("generator-nf")
+        closed = {tuple(sorted((p, partner[p]))) for p in ports if partner[p][0] in absorbed}
+        for p, q in sorted(closed):
+            acc = trace_pair(acc, labels.index(p), labels.index(q), ring)
+            labels.remove(p)
+            labels.remove(q)
+            emit("trace")
 
-    for e, (p, q) in enumerate(current.edges):
-        if p[0] == BOUNDARY and q[0] == BOUNDARY:
-            juxtapose(wire_tensor(ring), [(e, 0), (e, 1)])
-            state.wires_done.add(e)
-            cursor = emit("plugging", cursor)
+    for p, q in current.edges:
+        if p[0] == q[0] == BOUNDARY:
+            acc = contract(acc, wire_tensor(ring), [], ring)
+            labels += [p, q]
+            emit("plugging")
 
-    while state.circles_left:
-        juxtapose(scalar_tensor(2, ring), [])
-        state.circles_left -= 1
-        cursor = emit("plugging", cursor)
+    while circles:
+        acc = contract(acc, scalar_tensor(2, ring), [], ring)
+        circles -= 1
+        emit("plugging")
 
-    out = _final_diagram(state)
-    if not steps and not (out == current):
-        steps.append(TraceStep("plugging", current, out))
+    psi = permute(acc, _boundary_order(labels, partner))
+    out = nf_to_diagram(nf_of_tensor(psi, ring), dirs=g.boundary)
+    if not steps:
+        steps.append(TraceStep("plugging", g, out))
     return out, RewriteTrace(tuple(steps))

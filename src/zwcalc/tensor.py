@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagram import BOUNDARY, Black, Crossing, Diagram, Port, VertexKind, White, port_count
 from .errors import DiagramError, LegCapError
@@ -142,10 +142,6 @@ def wire_tensor(ring: Ring = INTEGERS) -> Tensor:
 def reduce_tensor(t: Tensor, ring: Ring) -> Tensor:
     """Push every coefficient through the ring, dropping entries that vanish."""
     return make_tensor(t.legs, t.entries, ring)
-
-
-def scale(t: Tensor, factor: int, ring: Ring = INTEGERS) -> Tensor:
-    return make_tensor(t.legs, [(m, c * factor) for m, c in t.entries.items()], ring)
 
 
 def permute(t: Tensor, order: Iterable[int]) -> Tensor:
@@ -288,7 +284,8 @@ def tensor_from_text(text: str, ring: Ring = INTEGERS) -> Tensor:
 # ``contract``, pairing the edges it shares with absorbed vertices.  Bare
 # wires are juxtaposed last, and a final ``permute`` puts the legs in
 # boundary order.  A zero accumulator stays zero, so the fold stops as soon
-# as it empties.
+# as it empties.  ``_absorption_order`` and ``_boundary_order`` are shared
+# with the traced fold of ``normalform.normalize``.
 
 
 @lru_cache(maxsize=256)
@@ -325,16 +322,16 @@ def eval_diagram(
     return _fold(g, ring)
 
 
-def _fold(g: Diagram, ring: Ring) -> Tensor:
-    """``eval_diagram`` of a diagram its caller has already checked."""
-    zero = Tensor(len(g.boundary), {})
-    scalar = ring.reduce(pow(2, g.circles))
-    if not scalar:
-        return zero
-    acc = Tensor(0, {0: scalar})
-    labels: list[Port] = []  # the open port each accumulator leg stands for
-    partner = g.port_partner()
+def _absorption_order(g: Diagram) -> Iterator[int]:
+    """Yield g's vertex ids in the order the fold absorbs them.
 
+    A vertex's score is the change in open accumulator legs that absorbing
+    it would cause: its port count minus twice the edges it would close
+    (self-loops and edges to absorbed vertices).  Next is the lowest
+    ``(score, vid)`` among the pending neighbours of the absorbed vertices,
+    or among all pending vertices when none neighbours them.  Absorbing a
+    vertex only changes the scores of its pending neighbours.
+    """
     neighbours: dict[int, list[int]] = {vid: [] for vid in g.vertices}
     score = {vid: port_count(kind) for vid, kind in g.vertices.items()}
     for p, q in g.edges:
@@ -344,7 +341,6 @@ def _fold(g: Diagram, ring: Ring) -> Tensor:
             neighbours[p[0]].append(q[0])
             neighbours[q[0]].append(p[0])
     frontier: set[int] = set()
-
     while score:
         vid = min(frontier or score, key=lambda v: (score[v], v))
         del score[vid]
@@ -353,9 +349,36 @@ def _fold(g: Diagram, ring: Ring) -> Tensor:
             if other in score:
                 score[other] -= 2
                 frontier.add(other)
-        kind = g.vertices[vid]
-        t = _generator(kind, ring)
-        ports = [(vid, k) for k in range(port_count(kind))]
+        yield vid
+
+
+def _boundary_order(labels: Sequence[Port], partner: Mapping[Port, Port]) -> list[int]:
+    """Accumulator legs sorted by the port each one faces.
+
+    Leg k stands for the open port ``labels[k]`` (or, for a bare wire, for
+    that boundary end itself) and faces its partner.  Boundary ports sort
+    first, so once every leg faces the boundary this is the ``permute``
+    order that puts the legs in boundary order.
+    """
+    faces = [port if port[0] == BOUNDARY else partner[port] for port in labels]
+    return sorted(range(len(labels)), key=faces.__getitem__)
+
+
+def _fold(g: Diagram, ring: Ring) -> Tensor:
+    """``eval_diagram`` of a diagram its caller has already checked."""
+    zero = Tensor(len(g.boundary), {})
+    scalar = ring.reduce(pow(2, g.circles))
+    if not scalar:
+        return zero
+    acc = Tensor(0, {0: scalar})
+    labels: list[Port] = []  # the open port each accumulator leg stands for
+    partner = g.port_partner()
+    absorbed: set[int] = set()
+
+    for vid in _absorption_order(g):
+        absorbed.add(vid)
+        t = _generator(g.vertices[vid], ring)
+        ports = [(vid, k) for k in range(t.legs)]
         for k in range(len(ports)):
             other = partner[(vid, k)]
             if other[0] == vid and k < other[1]:
@@ -365,7 +388,7 @@ def _fold(g: Diagram, ring: Ring) -> Tensor:
         pairing = []
         for j, port in enumerate(ports):
             other = partner[port]
-            if other[0] != BOUNDARY and other[0] not in score:
+            if other[0] in absorbed:
                 pairing.append((labels.index(other), j))
         acc = contract(acc, t, pairing, ring)
         if not acc.entries:
@@ -380,12 +403,7 @@ def _fold(g: Diagram, ring: Ring) -> Tensor:
             acc = contract(acc, wire_tensor(ring), [], ring)
             labels += [p, q]
 
-    order = []
-    for position in range(len(g.boundary)):
-        port = (BOUNDARY, position)
-        other = partner[port]
-        order.append(labels.index(port if other[0] == BOUNDARY else other))
-    return permute(acc, order)
+    return permute(acc, _boundary_order(labels, partner))
 
 
 # The API name for evaluation; the module keeps the explicit name as well.

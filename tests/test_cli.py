@@ -162,6 +162,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", str(path), "--format", "json")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("eval", '{"vertices": 3}'),
+            ("eval", '{"edges": 5}'),
+            ("eval", '{"boundary": 4}'),
+            ("eval", '{"edges": [[["boundary", 0]]], "boundary": [{"dir": "in"}]}'),
+            ("nf-of-tensor", "01 1\n1 2\n"),
+        ],
+        ids=["vertices-not-a-list", "edges-not-a-list", "boundary-not-a-list",
+             "one-port-edge", "mixed-bitstring-lengths"],
+    )
+    def test_malformed_documents_are_parse_errors(self, capsys, tmp_path, command, content):
+        # Exit 1 means a failed verification, so a malformed input must not
+        # escape as a traceback.
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        extra = ["--format", "json"] if command == "eval" else []
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_modulus(self, capsys, tmp_path):
         for command, content in (("eval", "id"), ("nf-of-tensor", "01 -2\n10 1\n")):
             path = tmp_path / f"{command}.txt"

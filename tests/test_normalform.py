@@ -77,6 +77,16 @@ def nf(legs: int, *terms: tuple[int, int, str]) -> NormalForm:
     return NormalForm(legs, tuple(NFTerm(*t) for t in terms))
 
 
+def golden_diagrams() -> list[Diagram]:
+    """The pinned-digest inputs: 300 seeded fuzz diagrams, 30 4-rung ladders."""
+    diagrams_ = [random_diagram(random.Random(f"golden:{i}")) for i in range(300)]
+    for i in range(30):
+        rng = random.Random(f"golden-ladder:{i}")
+        text = " ; ".join(f"({rng.choice(LADDER_RUNGS)})" for _ in range(4))
+        diagrams_.append(from_term(parse_term(text)))
+    return diagrams_
+
+
 class TestNormalFormValidation:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
@@ -273,6 +283,17 @@ class TestEliminateCrossings:
             eval_diagram(spliced, INTEGERS), eval_diagram(g, INTEGERS)
         )
 
+    def test_spliced_diagrams_are_pinned(self):
+        # The digest of the crossing-free diagrams' JSON on the pinned-digest
+        # inputs: each splice plugs a crossing's template into the opened
+        # diagram, and this fixes the result to the vertex id and wire.
+        digest = hashlib.sha256()
+        for g in golden_diagrams():
+            digest.update((diagram_to_json(eliminate_crossings(g)) + "\n").encode())
+        assert digest.hexdigest() == (
+            "ad4eb8ecdbffc3ca3e52f4d58c74600d83af42f69122d12f2cca19cefc37cccc"
+        )
+
 
 class TestNormalize:
     def test_triangle_reaches_its_frozen_form(self):
@@ -352,13 +373,8 @@ class TestNormalize:
         # The digest of the untraced output JSON and the evaluated tensor's
         # text over Z, Z/2 and Z/3, on seeded fuzz diagrams and 4-rung
         # crossing ladders.
-        diagrams_ = [random_diagram(random.Random(f"golden:{i}")) for i in range(300)]
-        for i in range(30):
-            rng = random.Random(f"golden-ladder:{i}")
-            text = " ; ".join(f"({rng.choice(LADDER_RUNGS)})" for _ in range(4))
-            diagrams_.append(from_term(parse_term(text)))
         digest = hashlib.sha256()
-        for g in diagrams_:
+        for g in golden_diagrams():
             for ring in (INTEGERS, IntegersMod(2), IntegersMod(3)):
                 digest.update((diagram_to_json(normalize(g, ring)[0]) + "\n").encode())
                 digest.update((tensor_to_text(eval_diagram(g, ring)) + "\n").encode())
@@ -383,6 +399,18 @@ class TestNormalize:
         if trace.steps:
             assert trace.steps[-1].after == out
 
+    def test_trace_snapshots_of_a_ladder_stay_narrow(self):
+        # Frontier-first, the fold keeps a ladder's accumulator at a bounded
+        # number of terms whatever its length, so each snapshot is at most
+        # the crossing-free diagram plus one template of bounded size (57
+        # extra vertices at 2 to 10 rungs).  The bound allows 64; an order
+        # that starts islands far apart reached 1947 vertices on 6 rungs.
+        g = from_term(parse_term(" ; ".join(["(w(1,2) ; x ; w(2,1))"] * 6)))
+        bound = len(eliminate_crossings(g).vertices) + 64
+        out, trace = normalize(g, want_trace=True)
+        assert max(len(s.after.vertices) for s in trace.steps) <= bound
+        assert trace.steps[-1].after == out
+
     def test_crossing_free_runs_have_no_elimination_step(self):
         _, trace = normalize(triangle(), want_trace=True)
         assert "crossing-elim" not in [s.step for s in trace.steps]
@@ -400,14 +428,16 @@ class TestNormalize:
 
     def test_fold_order_is_pinned(self):
         # The absorption order decides where the traces fall; this pins it.
+        # The traced fold shares eval_diagram's frontier-first schedule, so
+        # after the first vertex only neighbours of the absorbed set are taken.
         g = from_term(parse_term("(w(1,2) ; x ; w(2,1)) ; (w(1,2) ; x ; w(2,1))"))
         out, trace = normalize(g, want_trace=True)
         G, T = "generator-nf", "trace"
         assert [s.step for s in trace.steps] == ["crossing-elim", "crossing-elim"] + [
-            G, G, G, T, G, T, G, T, G, T, G, T, G, T, G, T, G, T,
-            G, T, T, T, G, T, T, G, T, T, G, T, T, G, T, T, G, T,
-            G, T, G, T, G, T, T, G, T, G, T, T, G, T, G, T, T, G,
-            T, T, G, T, G, T, T, G, T, T, G, T, T,
+            G, G, T, G, T, G, T, G, T, G, T, G, T, G, T, G, T, G,
+            T, T, T, G, T, T, G, T, T, G, T, T, G, T, T, G, T, G,
+            T, G, T, G, T, T, G, T, G, T, G, T, T, G, T, G, T, T,
+            G, T, G, T, G, T, T, G, T, T, G, T, T,
         ]
         assert is_normal_form(out) == nf_of_tensor(eval_diagram(g, INTEGERS))
         # A self-loop closes as soon as its vertex is absorbed, so the Black-2

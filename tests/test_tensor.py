@@ -241,6 +241,10 @@ class TestTensorOps:
         assert tensor_to_text(make_tensor(3, {})) == ""
         assert tensor_from_text("").legs == 0
 
+    def test_mixed_bitstring_lengths_are_a_value_error(self):
+        with pytest.raises(ValueError, match="inconsistent bitstring length"):
+            tensor_from_text("01 1\n1 2\n")
+
     def test_text_is_lex_sorted(self):
         t = make_tensor(2, {0b11: 1, 0b00: 2, 0b10: -1})
         lines = tensor_to_text(t).splitlines()
