@@ -20,7 +20,6 @@ diagram and never mutates its arguments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -180,6 +179,8 @@ class Diagram:
                 problems.append(f"edge references unknown vertex {owner}")
             elif not 0 <= index < port_count(self.vertices[owner]):
                 problems.append(f"vertex {owner} has no port {index}")
+        if BOUNDARY in self.vertices:
+            problems.append(f"vertex id {BOUNDARY} is reserved for the boundary")
         for vid in sorted(self.vertices):
             kind = self.vertices[vid]
             if isinstance(kind, Crossing):
@@ -374,141 +375,124 @@ def with_boundary_dirs(g: Diagram, dirs: Sequence[str]) -> Diagram:
 _MAX_ISO_VERTICES = 4096
 
 
-def _connection_point(g: Diagram, p: Port) -> tuple:
-    """Collapse a port to the symmetry class it belongs to.
-
-    Black/White ports are fully interchangeable, so they collapse to the
-    vertex.  Crossing ports are interchangeable only within a strand.
-    Boundary positions are rigid.
-    """
-    owner, index = p
-    if owner == BOUNDARY:
-        return ("b", index)
-    kind = g.vertices[owner]
-    if isinstance(kind, Crossing):
-        return ("x", owner, kind.strand_of(index))
-    return ("v", owner)
-
-
 def canonical_form(g: Diagram) -> str:
     """A string equal for two diagrams iff they are isomorphic.
 
     Isomorphism fixes the boundary pointwise (same positions, same flags),
     maps vertices to vertices of the same kind, and may permute the ports of
     Black/White vertices freely and the ports of a crossing by strand
-    symmetry.  Intended for test-scale diagrams (including normal-form
-    templates, whose rigid boundary anchors keep refinement cheap).
+    symmetry.
+
+    The labeling runs on one node model: a node per Black/White vertex and
+    a node per crossing strand, the two strands of a crossing being
+    siblings; boundary positions stay rigid.  Colour refinement splits
+    nodes by colour, sibling colour and the sorted colours of their
+    neighbours, and a search individualises one node of the first
+    non-singleton cell per branch, keeping the least serialisation of the
+    discrete colourings it reaches.  Of each class of twins in a cell
+    (nodes with the same sibling pair, or none, and the same neighbours,
+    which an automorphism may swap) only one is individualised, so the two
+    strands of a plain crossing cost no branching.  Components that are
+    identical but not twins, such as k disjoint copies of one subdiagram,
+    still branch exponentially in k: the search has no orbit pruning.
+    Intended for test-scale diagrams.
     """
     if len(g.vertices) > _MAX_ISO_VERTICES:
         raise DiagramError(
             f"canonical labeling supports at most {_MAX_ISO_VERTICES} vertices"
         )
 
-    vids = sorted(g.vertices)
-    neighbors: dict[tuple, list[tuple]] = {}
-    for p, q in g.edges:
-        cp, cq = _connection_point(g, p), _connection_point(g, q)
-        neighbors.setdefault(cp, []).append(cq)
-        neighbors.setdefault(cq, []).append(cp)
-
-    def kind_tag(vid: int) -> tuple:
+    # Nodes are indices from 0; boundary position i is the end -1 - i.
+    tags: list[str] = []
+    sibling: list[int] = []
+    first_node: dict[int, int] = {}
+    for vid in sorted(g.vertices):
         kind = g.vertices[vid]
-        if isinstance(kind, Black):
-            return ("B", kind.arity)
-        if isinstance(kind, White):
-            return ("W", kind.arity)
-        return ("X",)
+        first_node[vid] = n = len(tags)
+        if isinstance(kind, Crossing):
+            tags += ["X", "X"]
+            sibling += [n + 1, n]
+        else:
+            tags.append(f"{'B' if isinstance(kind, Black) else 'W'}{kind.arity}")
+            sibling.append(-1)
 
-    def point_color(point: tuple, colors: dict[int, int]) -> tuple:
-        # Strand labels inside a crossing are arbitrary storage order, so a
-        # neighbor's color may not leak them; only the owning vertex counts.
-        if point[0] == "b":
-            return ("b", point[1])
-        return (point[0], colors[point[1]])
+    def end(p: Port) -> int:
+        owner, index = p
+        if owner == BOUNDARY:
+            return -1 - index
+        kind = g.vertices[owner]
+        return first_node[owner] + (kind.strand_of(index) if isinstance(kind, Crossing) else 0)
 
-    def refine(colors: dict[int, int]) -> dict[int, int]:
+    ends = [(end(p), end(q)) for p, q in g.edges]
+    size = len(tags)
+    neighbors: list[list[int]] = [[] for _ in range(size)]
+    for a, b in ends:
+        if a >= 0:
+            neighbors[a].append(b)
+        if b >= 0:
+            neighbors[b].append(a)
+
+    def refine(colors: list[int]) -> list[int]:
+        count = len(set(colors))
         while True:
-            signatures: dict[int, tuple] = {}
-            for vid in vids:
-                kind = g.vertices[vid]
-                if isinstance(kind, Crossing):
-                    per_strand = []
-                    for s in (0, 1):
-                        near = neighbors.get(("x", vid, s), [])
-                        per_strand.append(tuple(sorted(point_color(n, colors) for n in near)))
-                    sig = (colors[vid], tuple(sorted(per_strand)))
-                else:
-                    near = neighbors.get(("v", vid), [])
-                    sig = (colors[vid], tuple(sorted(point_color(n, colors) for n in near)))
-                signatures[vid] = sig
-            ranking = {s: i for i, s in enumerate(sorted(set(signatures.values())))}
-            new = {vid: ranking[signatures[vid]] for vid in vids}
-            if new == colors:
+            signatures = [
+                (colors[n], colors[sibling[n]] if sibling[n] >= 0 else -1,
+                 tuple(sorted([colors[m] if m >= 0 else m for m in neighbors[n]])))
+                for n in range(size)
+            ]
+            ranking = {s: i for i, s in enumerate(sorted(set(signatures)))}
+            colors = [ranking[s] for s in signatures]
+            if len(ranking) == count:
                 return colors
-            colors = new
+            count = len(ranking)
 
-    def emit(colors: dict[int, int]) -> str | None:
-        """Serialize if the coloring is discrete, else None."""
-        if len(set(colors.values())) != len(vids):
-            return None
-        rank = {vid: colors[vid] for vid in vids}
-        parts = [f"legs:{','.join(g.boundary)}", f"circles:{g.circles}"]
-        parts.extend(
-            f"v{rank[vid]}:{kind_tag(vid)}" for vid in sorted(vids, key=lambda v: rank[v])
+    def twin_key(n: int) -> tuple:
+        # Swapping n with a node of the same key is an automorphism: the same
+        # sibling pair (or none) and the same neighbours, n itself and its
+        # sibling written as markers.
+        s = sibling[n]
+        marked = sorted(
+            size if m == n else size + 1 if m == s else m for m in neighbors[n]
         )
-        crossings = [vid for vid in vids if isinstance(g.vertices[vid], Crossing)]
-        if len(crossings) > 12:
-            raise DiagramError("canonical labeling supports at most 12 crossings")
+        return (min(n, s) if s >= 0 else -1, tuple(marked))
 
-        def entry_list(flips: dict[int, int]) -> list[tuple]:
-            entries = []
-            for p, q in g.edges:
-                described = []
-                for port in (p, q):
-                    owner, index = port
-                    if owner == BOUNDARY:
-                        described.append(("b", index, 0))
-                    else:
-                        kind = g.vertices[owner]
-                        strand = 0
-                        if isinstance(kind, Crossing):
-                            strand = kind.strand_of(index) ^ flips.get(owner, 0)
-                        described.append(("n", rank[owner], strand))
-                entries.append(tuple(sorted(described)))
-            return sorted(entries)
+    def emit(colors: list[int]) -> str:
+        order = sorted(range(size), key=colors.__getitem__)
+        nodes = [
+            tags[n] + (str(colors[sibling[n]]) if sibling[n] >= 0 else "") for n in order
+        ]
+        edges = sorted(
+            tuple(sorted((colors[a] if a >= 0 else a, colors[b] if b >= 0 else b)))
+            for a, b in ends
+        )
+        return ";".join([
+            f"legs:{','.join(g.boundary)}",
+            f"circles:{g.circles}",
+            " ".join(nodes),
+            " ".join(f"{a}.{b}" for a, b in edges),
+        ])
 
-        # The two strand labels inside each crossing are symmetric; pick the
-        # joint labeling with the least edge serialization.
-        best = min(
-            (entry_list(dict(zip(crossings, combo))) for combo in
-             itertools.product((0, 1), repeat=len(crossings))),
-            default=entry_list({}),
-        ) if crossings else entry_list({})
-        parts.extend(f"e:{e}" for e in best)
-        return ";".join(parts)
+    def individualise(colors: list[int], n: int) -> list[int]:
+        trial = [2 * c + 1 for c in colors]
+        trial[n] -= 1
+        return trial
 
-    def search(colors: dict[int, int]) -> str:
-        colors = refine(colors)
-        done = emit(colors)
-        if done is not None:
-            return done
-        by_color: dict[int, list[int]] = {}
-        for vid in vids:
-            by_color.setdefault(colors[vid], []).append(vid)
-        cell = min((vs for vs in by_color.values() if len(vs) > 1), key=lambda vs: colors[vs[0]])
-        best: str | None = None
-        for chosen in cell:
-            trial = dict(colors)
-            trial[chosen] = len(vids) + colors[chosen] + 1
-            rankfix = {c: i for i, c in enumerate(sorted(set(trial.values())))}
-            candidate = search({v: rankfix[c] for v, c in trial.items()})
-            if best is None or candidate < best:
-                best = candidate
-        assert best is not None
-        return best
+    def search(colors: list[int]) -> str:
+        while True:
+            colors = refine(colors)
+            if len(set(colors)) == size:
+                return emit(colors)
+            cells: dict[int, list[int]] = {}
+            for n, c in enumerate(colors):
+                cells.setdefault(c, []).append(n)
+            cell = cells[min(c for c, ns in cells.items() if len(ns) > 1)]
+            reps = list({twin_key(n): n for n in cell}.values())
+            if len(reps) > 1:
+                return min(search(individualise(colors, n)) for n in reps)
+            colors = individualise(colors, reps[0])
 
-    initial = {s: i for i, s in enumerate(sorted({kind_tag(v) for v in vids}))}
-    return search({vid: initial[kind_tag(vid)] for vid in vids})
+    initial = {t: i for i, t in enumerate(sorted(set(tags)))}
+    return search([initial[t] for t in tags])
 
 
 def isomorphic(g: Diagram, h: Diagram) -> bool:

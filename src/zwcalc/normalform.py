@@ -367,8 +367,9 @@ def is_normal_form(g: Diagram) -> NormalForm | None:
         if len(down_ports) != 1:
             return None
 
-        # Walk the chain toward the backbone: at most one sign changer and at
-        # most one multiplicity gadget, in either order.
+        # Walk the chain toward the backbone in the template's order: at most
+        # one sign changer, next to the term vertex, then at most one
+        # multiplicity gadget, next to the backbone.
         sign_p = 1
         mult = 1
         current = partner.get((vid, down_ports[0]))
@@ -378,7 +379,8 @@ def is_normal_form(g: Diagram) -> NormalForm | None:
             cvid, cport = current
             ckind = g.vertices[cvid]
             if isinstance(ckind, White):
-                if ckind.arity != 2 or cvid in term_vertices or sign_p == 0 or cvid in used:
+                if (ckind.arity != 2 or cvid in term_vertices or cvid in used
+                        or sign_p == 0 or mult != 1):
                     return None
                 sign_p = 0
                 used.add(cvid)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from zwcalc.diagram import Black, Crossing, Diagram, DiagramBuilder
+from zwcalc.diagram import BOUNDARY, Black, Crossing, Diagram, DiagramBuilder
 from zwcalc.fuzz import random_diagram
 from zwcalc.tensor import Tensor, make_tensor
 
@@ -68,6 +68,46 @@ def self_crossed_wire() -> Diagram:
     b.edge((x, 0), b.leg(0, "in"))
     b.edge((x, 2), b.leg(1))
     return b.build()
+
+
+def relabel(g: Diagram, rng: random.Random) -> Diagram:
+    """An isomorphic copy: vertex ids, port orders and strands shuffled.
+
+    Black/White ports are permuted freely.  A crossing's strands may trade
+    places and the two ports of each strand may trade places, so every
+    vertex keeps its kind.
+    """
+    vids = sorted(g.vertices)
+    vid_map = dict(zip(vids, rng.sample(range(len(vids) + 10), len(vids))))
+    port_map: dict[int, list[int]] = {}
+    for vid, kind in g.vertices.items():
+        if isinstance(kind, Crossing):
+            targets = list(kind.strands)
+            rng.shuffle(targets)
+            perm = [0] * 4
+            for source, target in zip(kind.strands, targets):
+                for k, image in zip(source, rng.sample(target, 2)):
+                    perm[k] = image
+        else:
+            perm = rng.sample(range(kind.arity), kind.arity)
+        port_map[vid] = perm
+    vertices = {vid_map[vid]: kind for vid, kind in g.vertices.items()}
+
+    def move(p):
+        return p if p[0] == BOUNDARY else (vid_map[p[0]], port_map[p[0]][p[1]])
+
+    return Diagram(vertices, tuple((move(p), move(q)) for p, q in g.edges), g.boundary, g.circles)
+
+
+def swap_edge_ends(g: Diagram, rng: random.Random) -> Diagram:
+    """Rewire two edges (p, q), (r, s) as (p, s), (r, q); unchanged below two edges."""
+    edges = list(g.edges)
+    if len(edges) < 2:
+        return g
+    i, j = rng.sample(range(len(edges)), 2)
+    (p, q), (r, s) = edges[i], edges[j]
+    edges[i], edges[j] = (p, s), (r, q)
+    return Diagram(dict(g.vertices), tuple(edges), g.boundary, g.circles)
 
 
 # -- strategies -------------------------------------------------------------------

@@ -5,7 +5,8 @@ per-vertex values computed from first principles.  ``oracle_contract``,
 ``oracle_trace`` and ``oracle_permute`` compute the tensor ops over
 bitstring-keyed dicts by enumerating every assignment of bits to legs.
 ``oracle_embeddings`` enumerates pattern embeddings over raw per-vertex port
-bijections.  All are exponential and only used on small instances; the point
+bijections.  ``oracle_isomorphic`` enumerates vertex bijections and crossing
+strand flips.  All are exponential and only used on small instances; the point
 is that they share no code or strategy with the package, making agreement
 meaningful.
 """
@@ -204,3 +205,51 @@ def oracle_orbit_keys(lhs: Diagram, matches) -> set:
                 best = key
         keys.add(best)
     return keys
+
+
+def _iso_point(g: Diagram, port, vmap: dict, flips: dict) -> tuple:
+    """A port as its B/W vertex, crossing strand or boundary position."""
+    owner, index = port
+    if owner == BOUNDARY:
+        return ("b", index)
+    kind = g.vertices[owner]
+    if isinstance(kind, Crossing):
+        strand = 0 if index in kind.strands[0] else 1
+        return ("x", vmap[owner], strand ^ flips.get(owner, 0))
+    return ("v", vmap[owner])
+
+
+def _iso_edges(g: Diagram, vmap: dict, flips: dict) -> list:
+    return sorted(
+        tuple(sorted((_iso_point(g, p, vmap, flips), _iso_point(g, q, vmap, flips))))
+        for p, q in g.edges
+    )
+
+
+def oracle_isomorphic(g: Diagram, h: Diagram) -> bool:
+    """Boundary-respecting isomorphism, brute force.
+
+    Tries every vertex bijection from g onto h that keeps each vertex's
+    kind (crossings included, strands and all), with every choice of strand
+    flips on g's crossings, and compares the two edge multisets with each
+    port collapsed to its Black/White vertex, crossing strand or boundary
+    position.
+    """
+    if g.boundary != h.boundary or g.circles != h.circles:
+        return False
+    groups: list[dict] = [{}, {}]
+    for index, d in enumerate((g, h)):
+        for vid in sorted(d.vertices):
+            groups[index].setdefault(d.vertices[vid], []).append(vid)
+    g_groups, h_groups = groups
+    if {k: len(v) for k, v in g_groups.items()} != {k: len(v) for k, v in h_groups.items()}:
+        return False
+    target = _iso_edges(h, {vid: vid for vid in h.vertices}, {})
+    keys = list(g_groups)
+    crossings = [vid for vid in sorted(g.vertices) if isinstance(g.vertices[vid], Crossing)]
+    for images in product(*(permutations(h_groups[k]) for k in keys)):
+        vmap = {v: u for k, image in zip(keys, images) for v, u in zip(g_groups[k], image)}
+        for bits in product((0, 1), repeat=len(crossings)):
+            if _iso_edges(g, vmap, dict(zip(crossings, bits))) == target:
+                return True
+    return False

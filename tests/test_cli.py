@@ -16,6 +16,13 @@ from zwcalc.rules import Rule, catalog
 from zwcalc.term import from_term, parse_term
 
 
+#: A vertex whose id is the boundary's pseudo id, wired to "boundary" port 0.
+BOUNDARY_ID_DOCUMENT = (
+    '{"vertices": [{"id": -1, "kind": "W", "arity": 1}, {"id": 0, "kind": "W", "arity": 1}],'
+    ' "edges": [[[-1, 0], [0, 0]]], "boundary": [{"dir": "out"}]}'
+)
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -170,16 +177,19 @@ class TestExitCodes:
             ("eval", '{"boundary": 4}'),
             ("eval", '{"edges": [[["boundary", 0]]], "boundary": [{"dir": "in"}]}'),
             ("nf-of-tensor", "01 1\n1 2\n"),
+            ("eval", BOUNDARY_ID_DOCUMENT),
+            ("normalize", BOUNDARY_ID_DOCUMENT),
         ],
         ids=["vertices-not-a-list", "edges-not-a-list", "boundary-not-a-list",
-             "one-port-edge", "mixed-bitstring-lengths"],
+             "one-port-edge", "mixed-bitstring-lengths", "boundary-vertex-id-eval",
+             "boundary-vertex-id-normalize"],
     )
     def test_malformed_documents_are_parse_errors(self, capsys, tmp_path, command, content):
         # Exit 1 means a failed verification, so a malformed input must not
         # escape as a traceback.
         path = tmp_path / "bad.txt"
         path.write_text(content)
-        extra = ["--format", "json"] if command == "eval" else []
+        extra = ["--format", "json"] if command in ("eval", "normalize") else []
         code, out, err = run(capsys, command, str(path), *extra)
         assert code == 2
         assert out == "" and err.startswith("error:") and err.count("\n") == 1

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given
+import random
 
-from helpers import b2_chain, circle, crossing_state, diagrams, wire
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import b2_chain, circle, crossing_state, diagrams, relabel, swap_edge_ends, wire
+from oracle import oracle_isomorphic
 from zwcalc.diagram import (
     BOUNDARY,
     Black,
@@ -21,7 +25,9 @@ from zwcalc.diagram import (
     with_boundary_dirs,
 )
 from zwcalc.errors import DiagramError
+from zwcalc.fuzz import random_diagram
 from zwcalc.jsonio import diagram_to_json
+from zwcalc.term import from_term, parse_term
 
 
 class TestBuilder:
@@ -82,6 +88,12 @@ class TestValidate:
     def test_unknown_vertex_reference(self):
         g = Diagram({}, (((5, 0), (BOUNDARY, 0)),), ("out",))
         assert any("unknown vertex" in p for p in validate(g))
+
+    def test_boundary_id_is_not_a_vertex_id(self):
+        g = Diagram(
+            {BOUNDARY: Black(1), 0: Black(1)}, (((BOUNDARY, 0), (0, 0)),), ("out",)
+        )
+        assert any("reserved for the boundary" in p for p in validate(g))
 
     def test_clean_diagrams_report_nothing(self):
         for g in (wire(), circle(), b2_chain(), crossing_state()):
@@ -222,6 +234,25 @@ class TestIsomorphism:
             g.circles,
         )
         assert isomorphic(g, shifted)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=300)
+    def test_isomorphic_agrees_with_the_oracle(self, seed, rewire):
+        g = random_diagram(random.Random(f"iso:{seed}"), 6, 4, 3)
+        rng = random.Random(seed)
+        h = relabel(g, rng)
+        if rewire:
+            h = swap_edge_ends(h, rng)
+        assert isomorphic(g, h) == oracle_isomorphic(g, h)
+        assert rewire or isomorphic(g, h)
+
+    @pytest.mark.parametrize("rungs", [13, 20])
+    def test_long_ladders_are_labeled(self, rungs):
+        # Past 12 crossings, with twin strands in every rung.
+        g = from_term(parse_term(" ; ".join(["(w(1,2) ; x ; w(2,1))"] * rungs)))
+        form = canonical_form(g)
+        for seed in range(3):
+            assert canonical_form(relabel(g, random.Random(seed))) == form
 
     @given(diagrams("clean"))
     def test_generated_diagrams_validate(self, g):

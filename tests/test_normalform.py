@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import circle, crossing_state, diagrams, tensors, triangle, wire
+from helpers import (
+    circle,
+    crossing_state,
+    diagrams,
+    relabel,
+    swap_edge_ends,
+    tensors,
+    triangle,
+    wire,
+)
 from oracle import oracle_matches_tensor
 from zwcalc.diagram import (
     Black,
@@ -18,6 +27,7 @@ from zwcalc.diagram import (
     DiagramBuilder,
     White,
     canonical_form,
+    isomorphic,
     port_count,
 )
 from zwcalc.errors import DiagramError, LegCapError
@@ -193,6 +203,57 @@ class TestTemplates:
         g = deloop(circle_nf())
         assert all(k.arity != 3 for k in g.vertices.values())
         assert tensor_equal(eval_diagram(g, INTEGERS), make_tensor(0, {0: 2}))
+
+
+def _changer_beyond_gadget() -> Diagram:
+    """One leg, chained backbone, sign changer, m = 2 gadget, term vertex.
+
+    The template of ``nf(1, (0, 2, "0"))`` has the same vertices with the
+    gadget next to the backbone and the changer next to the term vertex.
+    """
+    b = DiagramBuilder()
+    backbone, changer = b.vertex(Black(1)), b.vertex(White(2))
+    entry, inner_a, inner_b, exit_ = (b.vertex(Black(k)) for k in (2, 3, 3, 2))
+    term, top = b.vertex(White(2)), b.vertex(Black(2))
+    b.edge((backbone, 0), (changer, 0))
+    b.edge((changer, 1), (entry, 0))
+    b.edge((entry, 1), (inner_a, 0))
+    for k in (1, 2):
+        b.edge((inner_a, k), (inner_b, k))
+    b.edge((inner_b, 0), (exit_, 0))
+    b.edge((exit_, 1), (term, 0))
+    b.edge((term, 1), (top, 0))
+    b.edge((top, 1), b.leg(0))
+    return b.build()
+
+
+class TestRecognition:
+    def test_changer_beyond_the_gadget_is_not_the_template(self):
+        g, template = _changer_beyond_gadget(), nf_to_diagram(nf(1, (0, 2, "0")))
+        assert sorted(map(repr, g.vertices.values())) == sorted(
+            map(repr, template.vertices.values())
+        )
+        assert not isomorphic(g, template)
+        assert is_normal_form(g) is None
+        assert is_normal_form(template) == nf(1, (0, 2, "0"))
+
+    def test_recognized_forms_rebuild_the_input(self):
+        # Shuffled ports keep a template a template; a rewired pair of
+        # edges may or may not, but whatever is recognized must rebuild to
+        # an isomorphic diagram.
+        recognized_rewired = 0
+        for seed in range(150):
+            rng = random.Random(f"recognize:{seed}")
+            g = random_diagram(rng, 6, 4, 4)
+            form = nf_of_tensor(eval_diagram(g, INTEGERS))
+            shuffled = relabel(nf_to_diagram(form, dirs=g.boundary), rng)
+            assert is_normal_form(shuffled) == form
+            rewired = swap_edge_ends(shuffled, rng)
+            found = is_normal_form(rewired)
+            if found is not None:
+                recognized_rewired += 1
+                assert isomorphic(nf_to_diagram(found, dirs=rewired.boundary), rewired)
+        assert recognized_rewired > 0
 
 
 def _flip(legs: int, mask: int, j: int) -> int:
