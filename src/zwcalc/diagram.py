@@ -20,6 +20,7 @@ diagram and never mutates its arguments.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -128,9 +129,6 @@ class Diagram:
             for k in range(port_count(self.vertices[vid])):
                 yield (vid, k)
 
-    def boundary_port(self, position: int) -> Port:
-        return (BOUNDARY, position)
-
     def port_partner(self) -> dict[Port, Port]:
         """Map each wired port to the port at the other end of its edge."""
         partner: dict[Port, Port] = {}
@@ -138,9 +136,6 @@ class Diagram:
             partner[p] = q
             partner[q] = p
         return partner
-
-    def vertex_ids(self) -> list[int]:
-        return sorted(self.vertices)
 
     def has_crossings(self) -> bool:
         return any(isinstance(k, Crossing) for k in self.vertices.values())
@@ -241,11 +236,7 @@ def _resolve_wires(
 
     used = [False] * len(seg_list)
     wires: list[tuple[object, object]] = []
-    ends = sorted(
-        (point for point in adjacency if point not in junctions),
-        key=repr,
-    )
-    for start in ends:
+    for start in [point for point in adjacency if point not in junctions]:
         for seg in adjacency[start]:
             if used[seg]:
                 continue
@@ -274,7 +265,7 @@ def _resolve_wires(
             current = b if a == current else a
         circles += 1
     # Non-junction points touch at most one segment, so each surviving wire
-    # was traced exactly once (from whichever open end sorted first).
+    # was traced exactly once (from whichever open end came first).
     if not all(used):
         raise DiagramError("inconsistent wiring resolution")
     return wires, circles
@@ -390,11 +381,13 @@ def canonical_form(g: Diagram) -> str:
     neighbours, and a search individualises one node of the first
     non-singleton cell per branch, keeping the least serialisation of the
     discrete colourings it reaches.  Of each class of twins in a cell
-    (nodes with the same sibling pair, or none, and the same neighbours,
-    which an automorphism may swap) only one is individualised, so the two
-    strands of a plain crossing cost no branching.  Components that are
-    identical but not twins, such as k disjoint copies of one subdiagram,
-    still branch exponentially in k: the search has no orbit pruning.
+    (nodes that an automorphism swaps while fixing every other node: the
+    same sibling pair, or none, and the same neighbours apart from each
+    other) only one is individualised, so the two strands of a plain
+    crossing, or the two ends of a Black(1)–Black(1) pair, cost no
+    branching.  Components that are identical but not twins, such as k
+    disjoint copies of one subdiagram, still take k! leaves: the search
+    has no orbit pruning.
     Intended for test-scale diagrams.
     """
     if len(g.vertices) > _MAX_ISO_VERTICES:
@@ -446,13 +439,15 @@ def canonical_form(g: Diagram) -> str:
                 return colors
             count = len(ranking)
 
-    def twin_key(n: int) -> tuple:
-        # Swapping n with a node of the same key is an automorphism: the same
-        # sibling pair (or none) and the same neighbours, n itself and its
-        # sibling written as markers.
+    def twin_key(n: int, partner: int | None = None) -> tuple:
+        # Swapping n with a node m is an automorphism iff twin_key(n, m) and
+        # twin_key(m, n) agree: the same sibling pair (or none) and the same
+        # neighbours, with n itself, its sibling and its partner m written as
+        # markers.  Unless m is n's neighbour, twin_key(n) is twin_key(n, m).
         s = sibling[n]
         marked = sorted(
-            size if m == n else size + 1 if m == s else m for m in neighbors[n]
+            size if m == n else size + 1 if m == s else size + 2 if m == partner else m
+            for m in neighbors[n]
         )
         return (min(n, s) if s >= 0 else -1, tuple(marked))
 
@@ -486,10 +481,20 @@ def canonical_form(g: Diagram) -> str:
             for n, c in enumerate(colors):
                 cells.setdefault(c, []).append(n)
             cell = cells[min(c for c, ns in cells.items() if len(ns) > 1)]
-            reps = list({twin_key(n): n for n in cell}.values())
+            # One node per class of twins, keyed by its twin_key: a twin that
+            # is not n's neighbour has n's key, and one that is is tested.
+            reps: dict[tuple, int] = {}
+            for n in cell:
+                key = twin_key(n)
+                if key not in reps and all(
+                    twin_key(n, m) != twin_key(m, n)
+                    for m in neighbors[n]
+                    if m >= 0 and colors[m] == colors[n] and reps.get(twin_key(m)) == m
+                ):
+                    reps[key] = n
             if len(reps) > 1:
-                return min(search(individualise(colors, n)) for n in reps)
-            colors = individualise(colors, reps[0])
+                return min(search(individualise(colors, n)) for n in reps.values())
+            colors = individualise(colors, next(iter(reps.values())))
 
     initial = {t: i for i, t in enumerate(sorted(set(tags)))}
     return search([initial[t] for t in tags])
@@ -499,7 +504,8 @@ def isomorphic(g: Diagram, h: Diagram) -> bool:
     """Boundary-respecting graph isomorphism (test-scale)."""
     if len(g.boundary) != len(h.boundary) or g.circles != h.circles:
         return False
-    if sorted(map(repr, g.vertices.values())) != sorted(map(repr, h.vertices.values())):
+    kinds = [Counter(map(_kind_key, d.vertices.values())) for d in (g, h)]
+    if kinds[0] != kinds[1]:
         return False
     return canonical_form(g) == canonical_form(h)
 

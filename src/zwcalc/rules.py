@@ -1,10 +1,15 @@
 """Rewrite rule catalog, soundness checking, matching and application.
 
 Every rule is a pair of state-form diagrams (all legs flagged "out") with a
-boundary bijection.  The catalog holds the fixed binary/ternary rules, the
-generated schema instances up to a chosen arity, the derived rules the
-normalizer may cite, and optionally the modular disconnect rule.  Soundness
-is always checked semantically: a rule holds iff both sides evaluate to the
+boundary bijection, here always the identity.  The catalog is written in the
+term language of :mod:`zwcalc.term`: a table gives each fixed rule's two
+sides as term text, one line each, and one function per schema family writes
+the text of its (n, m) instance.  Only the right-hand sides of the bialgebra
+families ba_W and ba, whose n*m transversal wires run through a crossing or
+plain network, are built vertex by vertex.  The catalog holds the fixed
+rules, the schema instances up to a chosen arity, derived families that
+follow from them, and optionally the modular disconnect rule.  Soundness is
+always checked semantically: a rule holds iff both sides evaluate to the
 same tensor.
 """
 
@@ -28,9 +33,11 @@ from .diagram import (
     _kind_key,
     _resolve_wires,
     port_count,
+    with_boundary_dirs,
 )
 from .errors import InvalidMatchError, MatchScopeError
 from .tensor import INTEGERS, Ring, eval_diagram, permute, tensor_equal
+from .term import from_term, parse_term
 
 #: ``find_matches`` returns every port-level embedding of the lhs, one per
 #: orbit of the lhs automorphism group, by exhaustive search; patterns with
@@ -109,558 +116,143 @@ def verify_soundness(rule: Rule, ring: Ring = INTEGERS) -> bool:
 
 # -- rule construction ---------------------------------------------------------
 
-
-class _Draft:
-    """Sketchpad for one rule side: ordered legs plus wiring shorthands."""
-
-    def __init__(self) -> None:
-        self.builder = DiagramBuilder()
-        self.positions = 0
-
-    def leg(self) -> Port:
-        port = self.builder.leg(self.positions)
-        self.positions += 1
-        return port
-
-    def legs(self, count: int) -> list[Port]:
-        return [self.leg() for _ in range(count)]
-
-    def vertex(self, kind: VertexKind) -> int:
-        return self.builder.vertex(kind)
-
-    def wire(self, p: Port, q: Port) -> None:
-        self.builder.edge(p, q)
-
-    def link(self, p: Port, q: Port, *kinds: VertexKind) -> None:
-        """Wire ``p`` to ``q`` through a chain of binary vertices."""
-        self.builder.chain(p, list(kinds), q)
-
-    def build(self) -> Diagram:
-        return self.builder.build()
-
-
-def _tick() -> Black:
-    return Black(2)
-
-
-def _sign() -> White:
-    return White(2)
-
-
-def _rule(
-    name: str,
-    lhs: Diagram,
-    rhs: Diagram,
-    params: tuple[int, ...] = (),
-    derived: bool = False,
-) -> Rule:
-    return Rule(name, lhs, rhs, tuple(range(len(lhs.boundary))), params, derived)
+#: The paper's fixed rules and the crossing-versus-swap grid rule, each side
+#: in term text.  A side's inputs come first, then its outputs; every leg is
+#: then flagged "out".  ``w(1,1)`` is the Black tick and ``z(1,1)`` the White
+#: sign changer.
+_FIXED: tuple[tuple[str, str, str, bool], ...] = (
+    ("0a", "w(2,1)", "swap ; w(2,1)", False),
+    ("0b", "z(2,1)", "swap ; z(2,1)", False),
+    ("1a", "((w(1,1) * w(1,1)) ; w(2,1) ; w(1,1)) * w(1,1) ; w(2,1)",
+     "w(1,1) * ((w(1,1) * w(1,1)) ; w(2,1) ; w(1,1)) ; w(2,1)", False),
+    ("1b", "((w(0,1) ; w(1,1)) * w(1,1)) ; w(2,1)", "id", False),
+    ("1c", "(z(2,1) * id) ; z(2,1)", "(id * z(2,1)) ; z(2,1)", False),
+    ("1d", "(z(0,1) * id) ; z(2,1)", "id", False),
+    ("2a", "w(1,1) ; w(1,1)", "id", False),
+    ("2b", "z(1,1) ; z(1,1)", "id", False),
+    ("3a", "(z(1,1) ; w(1,1)) * (z(1,1) ; w(1,1)) ; w(2,1)",
+     "(w(1,1) * w(1,1)) ; w(2,1) ; w(1,1) ; z(1,1) ; w(1,1)", False),
+    ("3b", "(w(1,1) * w(1,1)) ; z(2,1)", "z(2,1) ; z(1,1) ; w(1,1) ; z(1,1)", False),
+    ("4a", "(z(1,2) * id) ; (id * z(2,1))", "z(2,1) ; z(1,2)", False),
+    ("4b", "(id * z(1,2)) ; (z(2,1) * id)", "z(2,1) ; z(1,2)", False),
+    ("5a", "(w(1,1) * w(1,1)) ; w(2,1) ; w(1,2) ; (w(1,1) * w(1,1))",
+     "(w(1,2) * w(1,2)) ; (id * x * id) ; (w(2,1) * w(2,1))", False),
+    ("5b", "w(0,1) ; w(1,2) ; (w(1,1) * w(1,1))", "w(0,1) * w(0,1)", False),
+    ("5c", "w(1,2) ; (id * z(1,1)) ; w(2,1)", "w(1,0) * w(0,1)", False),
+    ("6a", "(w(1,1) * id) ; w(2,1) ; z(1,2)",
+     "(z(1,2) ; (w(1,1) * w(1,1))) * z(1,2) ; (id * swap * id) ; (w(2,1) * w(2,1))", False),
+    ("6b", "z(1,2) ; w(2,1)", "(w(1,1) ; w(1,0)) * w(0,1)", False),
+    ("7a", "((w(1,1) * id) ; w(2,1)) * id ; x",
+     "(id * x) ; (x * id) ; (id * w(1,1) * id) ; (id * w(2,1))", False),
+    ("7b", "(w(1,1) * id) ; x", "(id * z(1,1)) ; x ; (id * w(1,1))", False),
+    ("X", "w(0,3) ; (x * id)", "w(0,3)", False),
+    # The mixed bialgebra grid is insensitive to crossing versus plain swap:
+    # on its support a doubly-occupied crossing would force two ones into
+    # one Black vertex, so the fermionic sign never fires.
+    ("ba_braiding", "(z(1,2) * z(1,2)) ; (id * x * id) ; (w(2,1) * w(2,1)) ; (w(1,1) * w(1,1))",
+     "(z(1,2) * z(1,2)) ; (id * swap * id) ; (w(2,1) * w(2,1)) ; (w(1,1) * w(1,1))", True),
+)
 
 
-def _rule_leg_swap(kind: VertexKind) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v = left.vertex(kind)
-    a, b, c = left.legs(3)
-    left.wire(a, (v, 0))
-    left.wire(b, (v, 1))
-    left.wire(c, (v, 2))
-    right = _Draft()
-    v = right.vertex(kind)
-    a, b, c = right.legs(3)
-    right.wire(a, (v, 1))
-    right.wire(b, (v, 0))
-    right.wire(c, (v, 2))
-    return left.build(), right.build()
+def _par(*parts: str) -> str:
+    """Term text for ``parts`` side by side."""
+    return " * ".join(f"({part})" if ";" in part else part for part in parts)
 
 
-def _rule_1a() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    t1, t2 = left.vertex(Black(3)), left.vertex(Black(3))
-    a, b, c, o = left.legs(4)
-    left.link(a, (t1, 0), _tick())
-    left.link(b, (t1, 1), _tick())
-    left.link((t1, 2), (t2, 0), _tick())
-    left.link(c, (t2, 1), _tick())
-    left.wire((t2, 2), o)
-    right = _Draft()
-    u1, u2 = right.vertex(Black(3)), right.vertex(Black(3))
-    a, b, c, o = right.legs(4)
-    right.link(b, (u1, 0), _tick())
-    right.link(c, (u1, 1), _tick())
-    right.link(a, (u2, 0), _tick())
-    right.link((u1, 2), (u2, 1), _tick())
-    right.wire((u2, 2), o)
-    return left.build(), right.build()
+def _seq(*layers: str) -> str:
+    """Term text for ``layers`` bottom to top; empty layers are dropped."""
+    return " ; ".join(layer for layer in layers if layer)
 
 
-def _rule_1b() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    unit, v = left.vertex(Black(1)), left.vertex(Black(3))
-    a, o = left.legs(2)
-    left.link((unit, 0), (v, 0), _tick())
-    left.link(a, (v, 1), _tick())
-    left.wire((v, 2), o)
-    right = _Draft()
-    a, o = right.legs(2)
-    right.wire(a, o)
-    return left.build(), right.build()
+def _spider(g: str, n: int, m: int) -> tuple[str, str]:
+    return f"{g}({n},1) ; {g}(1,1) ; {g}(1,{m})", f"{g}({n},{m})"
 
 
-def _rule_1c() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    t1, t2 = left.vertex(White(3)), left.vertex(White(3))
-    a, b, c, o = left.legs(4)
-    left.wire(a, (t1, 0))
-    left.wire(b, (t1, 1))
-    left.wire((t1, 2), (t2, 0))
-    left.wire(c, (t2, 1))
-    left.wire((t2, 2), o)
-    right = _Draft()
-    u1, u2 = right.vertex(White(3)), right.vertex(White(3))
-    a, b, c, o = right.legs(4)
-    right.wire(b, (u1, 0))
-    right.wire(c, (u1, 1))
-    right.wire(a, (u2, 0))
-    right.wire((u1, 2), (u2, 1))
-    right.wire((u2, 2), o)
-    return left.build(), right.build()
+def _phase(n: int) -> tuple[str, str]:
+    return (
+        _seq(_par("z(1,1)", *["id"] * (n - 1)), f"z({n},0)"),
+        _seq(_par("id", "z(1,1)", *["id"] * (n - 2)), f"z({n},0)"),
+    )
 
 
-def _rule_1d() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    unit, v = left.vertex(White(1)), left.vertex(White(3))
-    a, o = left.legs(2)
-    left.wire((unit, 0), (v, 0))
-    left.wire(a, (v, 1))
-    left.wire((v, 2), o)
-    right = _Draft()
-    a, o = right.legs(2)
-    right.wire(a, o)
-    return left.build(), right.build()
+def _automorphism(g: str, n: int) -> tuple[str, str]:
+    decoration, other = ("z(1,1)", "w(1,1)") if g == "w" else ("w(1,1)", "z(1,1)")
+    return (
+        _seq(_par("id", *[decoration] * n), f"{g}({n + 1},0)"),
+        _seq(_par(f"{other} ; {decoration} ; {other}", *["id"] * n), f"{g}({n + 1},0)"),
+    )
 
 
-def _rule_involution(kind: VertexKind) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v1, v2 = left.vertex(kind), left.vertex(kind)
-    a, o = left.legs(2)
-    left.wire(a, (v1, 0))
-    left.wire((v1, 1), (v2, 0))
-    left.wire((v2, 1), o)
-    right = _Draft()
-    a, o = right.legs(2)
-    right.wire(a, o)
-    return left.build(), right.build()
+def _ba_black(n: int, m: int) -> tuple[str, Diagram]:
+    return (
+        _seq(_par(*["w(1,1)"] * n), f"w({n},1) ; w(1,{m})", _par(*["w(1,1)"] * m)),
+        _bialgebra_rhs(n, m, mixed=False),
+    )
 
 
-def _rule_3a() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v = left.vertex(Black(3))
-    a, b, o = left.legs(3)
-    left.link(a, (v, 0), _sign(), _tick())
-    left.link(b, (v, 1), _sign(), _tick())
-    left.wire((v, 2), o)
-    right = _Draft()
-    v = right.vertex(Black(3))
-    a, b, o = right.legs(3)
-    right.link(a, (v, 0), _tick())
-    right.link(b, (v, 1), _tick())
-    right.link((v, 2), o, _tick(), _sign(), _tick())
-    return left.build(), right.build()
+def _ba_mixed(n: int, m: int) -> tuple[str, Diagram]:
+    return f"w({n},1) ; w(1,1) ; z(1,{m})", _bialgebra_rhs(n, m, mixed=True)
 
 
-def _rule_3b() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v = left.vertex(White(3))
-    a, b, o = left.legs(3)
-    left.link(a, (v, 0), _tick())
-    left.link(b, (v, 1), _tick())
-    left.wire((v, 2), o)
-    right = _Draft()
-    v = right.vertex(White(3))
-    a, b, o = right.legs(3)
-    right.wire(a, (v, 0))
-    right.wire(b, (v, 1))
-    right.link((v, 2), o, _sign(), _tick(), _sign())
-    return left.build(), right.build()
+def _bialgebra_rhs(n: int, m: int, mixed: bool) -> Diagram:
+    """The rhs of ba_W(n, m), or of ba(n, m) if ``mixed``: n tops on the
+    first n legs, each wired to every one of m bottoms on the last m legs.
 
-
-def _rule_4a() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    split, merge = left.vertex(White(3)), left.vertex(White(3))
-    a, b, o1, o2 = left.legs(4)
-    left.wire(a, (split, 0))
-    left.wire((split, 1), o1)
-    left.wire((split, 2), (merge, 0))
-    left.wire(b, (merge, 1))
-    left.wire((merge, 2), o2)
-    return left.build(), _frobenius_rhs()
-
-
-def _rule_4b() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    split, merge = left.vertex(White(3)), left.vertex(White(3))
-    a, b, o1, o2 = left.legs(4)
-    left.wire(b, (split, 0))
-    left.wire((split, 1), (merge, 1))
-    left.wire((split, 2), o2)
-    left.wire(a, (merge, 0))
-    left.wire((merge, 2), o1)
-    return left.build(), _frobenius_rhs()
-
-
-def _frobenius_rhs() -> Diagram:
-    right = _Draft()
-    merge, split = right.vertex(White(3)), right.vertex(White(3))
-    a, b, o1, o2 = right.legs(4)
-    right.wire(a, (merge, 0))
-    right.wire(b, (merge, 1))
-    right.wire((merge, 2), (split, 0))
-    right.wire((split, 1), o1)
-    right.wire((split, 2), o2)
-    return right.build()
-
-
-def _rule_5a() -> tuple[Diagram, Diagram]:
-    return _ba_black(2, 2)
-
-
-def _rule_5b() -> tuple[Diagram, Diagram]:
-    return _ba_black(0, 2)
-
-
-def _rule_5c() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    split, merge = left.vertex(Black(3)), left.vertex(Black(3))
-    a, b = left.legs(2)
-    left.wire(a, (split, 0))
-    left.wire((split, 1), (merge, 0))
-    left.link((split, 2), (merge, 1), _sign())
-    left.wire((merge, 2), b)
-    right = _Draft()
-    u1, u2 = right.vertex(Black(1)), right.vertex(Black(1))
-    a, b = right.legs(2)
-    right.wire(a, (u1, 0))
-    right.wire((u2, 0), b)
-    return left.build(), right.build()
-
-
-def _rule_6a() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    merge, split = left.vertex(Black(3)), left.vertex(White(3))
-    a, b, c, d = left.legs(4)
-    left.link(a, (merge, 0), _tick())
-    left.wire(b, (merge, 1))
-    left.wire((merge, 2), (split, 0))
-    left.wire((split, 1), c)
-    left.wire((split, 2), d)
-    return left.build(), _white_homomorphism_rhs()
-
-
-def _white_homomorphism_rhs() -> Diagram:
-    right = _Draft()
-    z1, z2 = right.vertex(White(3)), right.vertex(White(3))
-    m1, m2 = right.vertex(Black(3)), right.vertex(Black(3))
-    a, b, c, d = right.legs(4)
-    right.wire(a, (z1, 0))
-    right.wire(b, (z2, 0))
-    right.link((z1, 1), (m1, 0), _tick())
-    right.wire((m1, 2), c)
-    right.wire((m2, 2), d)
-    right.wire((m1, 1), (z2, 1))
-    right.link((z1, 2), (m2, 0), _tick())
-    right.wire((m2, 1), (z2, 2))
-    return right.build()
-
-
-def _ba_braiding() -> tuple[Diagram, Diagram]:
-    """The mixed bialgebra grid is insensitive to crossing versus plain swap.
-
-    On the grid's support a doubly-occupied crossing would force two ones
-    into one Black vertex, so the fermionic sign never fires.
+    The tops of ba are White and its bottoms reach their legs through a
+    tick.  The n*m transversal wires of ba_W run through a bubble-sorted
+    network with one crossing vertex per inversion of the transposing
+    permutation; those of ba are plain wires.
     """
-
-    def grid(braided: bool) -> Diagram:
-        draft = _Draft()
-        legs = draft.legs(4)
-        tops = [draft.vertex(White(3)) for _ in range(2)]
-        bottoms = [draft.vertex(Black(3)) for _ in range(2)]
-        for i in range(2):
-            draft.wire((tops[i], 0), legs[i])
-        for j in range(2):
-            draft.link((bottoms[j], 2), legs[2 + j], _tick())
-        draft.wire((tops[0], 1), (bottoms[0], 0))
-        draft.wire((tops[1], 2), (bottoms[1], 1))
-        if braided:
-            x = draft.vertex(Crossing())
-            draft.wire((tops[0], 2), (x, 0))
-            draft.wire((tops[1], 1), (x, 1))
-            draft.wire((x, 3), (bottoms[1], 0))
-            draft.wire((x, 2), (bottoms[0], 1))
-        else:
-            draft.wire((tops[0], 2), (bottoms[1], 0))
-            draft.wire((tops[1], 1), (bottoms[0], 1))
-        return draft.build()
-
-    return grid(True), grid(False)
-
-
-def _rule_6b() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    split, merge = left.vertex(White(3)), left.vertex(Black(3))
-    a, b = left.legs(2)
-    left.wire(a, (split, 0))
-    left.wire((split, 1), (merge, 0))
-    left.wire((split, 2), (merge, 1))
-    left.wire((merge, 2), b)
-    right = _Draft()
-    u1, u2 = right.vertex(Black(1)), right.vertex(Black(1))
-    a, b = right.legs(2)
-    right.link(a, (u1, 0), _tick())
-    right.wire((u2, 0), b)
-    return left.build(), right.build()
-
-
-def _rule_7a() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v, x = left.vertex(Black(3)), left.vertex(Crossing())
-    a, b, c, o1, o2 = left.legs(5)
-    left.link(a, (v, 0), _tick())
-    left.wire(b, (v, 1))
-    left.wire((v, 2), (x, 0))
-    left.wire(c, (x, 1))
-    left.wire((x, 2), o1)
-    left.wire((x, 3), o2)
-    right = _Draft()
-    xa, xb = right.vertex(Crossing()), right.vertex(Crossing())
-    v = right.vertex(Black(3))
-    a, b, c, o1, o2 = right.legs(5)
-    right.wire(b, (xa, 0))
-    right.wire(c, (xa, 1))
-    right.wire(a, (xb, 0))
-    right.wire((xa, 2), (xb, 1))
-    right.link((xb, 3), (v, 0), _tick())
-    right.wire((xa, 3), (v, 1))
-    right.wire((v, 2), o2)
-    right.wire((xb, 2), o1)
-    return left.build(), right.build()
-
-
-def _rule_7b() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    x = left.vertex(Crossing())
-    a, c, o1, o2 = left.legs(4)
-    left.link(a, (x, 0), _tick())
-    left.wire(c, (x, 1))
-    left.wire((x, 2), o1)
-    left.wire((x, 3), o2)
-    right = _Draft()
-    x = right.vertex(Crossing())
-    a, c, o1, o2 = right.legs(4)
-    right.wire(a, (x, 0))
-    right.link(c, (x, 1), _sign())
-    right.wire((x, 2), o1)
-    right.link((x, 3), o2, _tick())
-    return left.build(), right.build()
-
-
-def _rule_x() -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    v, x = left.vertex(Black(3)), left.vertex(Crossing())
-    a, b, c = left.legs(3)
-    left.wire((v, 0), (x, 0))
-    left.wire((v, 1), (x, 1))
-    left.wire((x, 2), a)
-    left.wire((x, 3), b)
-    left.wire((v, 2), c)
-    right = _Draft()
-    v = right.vertex(Black(3))
-    a, b, c = right.legs(3)
-    right.wire(a, (v, 0))
-    right.wire(b, (v, 1))
-    right.wire(c, (v, 2))
-    return left.build(), right.build()
-
-
-def _spider(n: int, m: int, kind: type[Black] | type[White]) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(n + m)
-    top, bottom = left.vertex(kind(n + 1)), left.vertex(kind(m + 1))
-    for i in range(n):
-        left.wire(legs[i], (top, i))
-    left.link((top, n), (bottom, 0), kind(2))
-    for j in range(m):
-        left.wire(legs[n + j], (bottom, 1 + j))
-    right = _Draft()
-    legs = right.legs(n + m)
-    v = right.vertex(kind(n + m))
-    for i, leg in enumerate(legs):
-        right.wire(leg, (v, i))
-    return left.build(), right.build()
-
-
-def _phase(n: int) -> tuple[Diagram, Diagram]:
-    sides = []
-    for signed_leg in (0, 1):
-        draft = _Draft()
-        legs = draft.legs(n)
-        v = draft.vertex(White(n))
-        for k, leg in enumerate(legs):
-            if k == signed_leg:
-                draft.link(leg, (v, k), _sign())
-            else:
-                draft.wire(leg, (v, k))
-        sides.append(draft.build())
-    return sides[0], sides[1]
-
-
-def _automorphism(n: int, kind: type[Black] | type[White]) -> tuple[Diagram, Diagram]:
-    decoration = _sign() if kind is Black else _tick()
-    other = _tick() if kind is Black else _sign()
-    left = _Draft()
-    legs = left.legs(n + 1)
-    v = left.vertex(kind(n + 1))
-    left.wire(legs[0], (v, 0))
-    for k in range(1, n + 1):
-        left.link(legs[k], (v, k), decoration)
-    right = _Draft()
-    legs = right.legs(n + 1)
-    v = right.vertex(kind(n + 1))
-    right.link(legs[0], (v, 0), other, decoration, other)
-    for k in range(1, n + 1):
-        right.wire(legs[k], (v, k))
-    return left.build(), right.build()
-
-
-def _ba_black(n: int, m: int) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(n + m)
-    top, bottom = left.vertex(Black(n + 1)), left.vertex(Black(m + 1))
-    for i in range(n):
-        left.link(legs[i], (top, i), _tick())
-    left.wire((top, n), (bottom, 0))
-    for j in range(m):
-        left.link((bottom, 1 + j), legs[n + j], _tick())
-
-    right = _Draft()
-    legs = right.legs(n + m)
-    tops = [right.vertex(Black(m + 1)) for _ in range(n)]
-    bottoms = [right.vertex(Black(n + 1)) for _ in range(m)]
-    for i in range(n):
-        right.wire((tops[i], m), legs[i])
-    for j in range(m):
-        right.wire((bottoms[j], n), legs[n + j])
-    # The n*m transversal wires run through a bubble-sorted network with one
-    # crossing vertex per inversion of the transposing permutation.
-    frontier: list[Port] = []
-    targets: list[int] = []
-    for i in range(n):
-        for j in range(m):
-            frontier.append((tops[i], j))
-            targets.append(j * n + i)
-    changed = True
+    b = DiagramBuilder()
+    tops = [b.vertex(White(m + 1) if mixed else Black(m + 1)) for _ in range(n)]
+    bottoms = [b.vertex(Black(n + 1)) for _ in range(m)]
+    for i, top in enumerate(tops):
+        b.edge((top, m), b.leg(i))
+    for j, bottom in enumerate(bottoms):
+        b.chain((bottom, n), [Black(2)] if mixed else [], b.leg(n + j))
+    # Wire (tops[i], j) goes to slot j*n + i, port i of bottoms[j]: ba_W's
+    # wires are bubble-sorted into slot order, one crossing per swap.
+    frontier = [(top, j) for top in tops for j in range(m)]
+    targets = [j * n + i for i in range(n) for j in range(m)]
+    changed = not mixed
     while changed:
         changed = False
         for k in range(len(frontier) - 1):
             if targets[k] > targets[k + 1]:
-                x = right.vertex(Crossing())
-                right.wire(frontier[k], (x, 0))
-                right.wire(frontier[k + 1], (x, 1))
+                x = b.vertex(Crossing())
+                b.edge(frontier[k], (x, 0))
+                b.edge(frontier[k + 1], (x, 1))
                 frontier[k], frontier[k + 1] = (x, 2), (x, 3)
                 targets[k], targets[k + 1] = targets[k + 1], targets[k]
                 changed = True
-    for slot, port in enumerate(frontier):
-        right.wire(port, (bottoms[slot // n], slot % n))
-    return left.build(), right.build()
+    for port, slot in zip(frontier, targets):
+        b.edge(port, (bottoms[slot // n], slot % n))
+    return b.build()
 
 
-def _ba_mixed(n: int, m: int) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(n + m)
-    top, bottom = left.vertex(Black(n + 1)), left.vertex(White(m + 1))
-    for i in range(n):
-        left.wire(legs[i], (top, i))
-    left.link((top, n), (bottom, 0), _tick())
-    for j in range(m):
-        left.wire(legs[n + j], (bottom, 1 + j))
-    right = _Draft()
-    legs = right.legs(n + m)
-    tops = [right.vertex(White(m + 1)) for _ in range(n)]
-    bottoms = [right.vertex(Black(n + 1)) for _ in range(m)]
-    for i in range(n):
-        right.wire((tops[i], 0), legs[i])
-    for j in range(m):
-        right.link((bottoms[j], n), legs[n + j], _tick())
-        for i in range(n):
-            right.wire((bottoms[j], i), (tops[i], 1 + j))
-    return left.build(), right.build()
+def _loop_black(n: int, m: int) -> tuple[str, str]:
+    lhs = _seq(f"w(0,{m + 1})", _par("w(1,1)", *["id"] * m), f"w({m + 1},{n - m})")
+    return lhs, f"w(0,{n - m})"
 
 
-def _loop_black(n: int, m: int) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(n - m)
-    top, bottom = left.vertex(Black(n + 1)), left.vertex(Black(m + 1))
-    left.link((top, 0), (bottom, 0), _tick())
-    for k in range(1, m + 1):
-        left.wire((top, k), (bottom, k))
-    for t in range(n - m):
-        left.wire((top, m + 1 + t), legs[t])
-    right = _Draft()
-    legs = right.legs(n - m)
-    v = right.vertex(Black(n - m))
-    for t, leg in enumerate(legs):
-        right.wire(leg, (v, t))
-    return left.build(), right.build()
+def _loop_mixed(n: int) -> tuple[str, str]:
+    return f"z({n - 2},2) ; w(2,{n - 2})", _par(*["w(1,1) ; w(1,0)"] * (n - 2), f"w(0,{n - 2})")
 
 
-def _loop_mixed(n: int) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(2 * (n - 2))
-    top, bottom = left.vertex(White(n)), left.vertex(Black(n))
-    left.wire((top, 0), (bottom, 0))
-    left.wire((top, 1), (bottom, 1))
-    for t in range(n - 2):
-        left.wire((top, 2 + t), legs[t])
-        left.wire((bottom, 2 + t), legs[n - 2 + t])
-    right = _Draft()
-    legs = right.legs(2 * (n - 2))
-    for t in range(n - 2):
-        unit = right.vertex(Black(1))
-        right.link(legs[t], (unit, 0), _tick())
-    v = right.vertex(Black(n - 2))
-    for t in range(n - 2):
-        right.wire(legs[n - 2 + t], (v, t))
-    return left.build(), right.build()
+def _trace(g: str, n: int) -> tuple[str, str]:
+    return _seq(f"{g}(0,{n + 2})", _par(*["id"] * n, "cap")), f"{g}(0,{n})"
 
 
-def _trace(n: int, kind: type[Black] | type[White]) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    legs = left.legs(n)
-    v = left.vertex(kind(n + 2))
-    for k, leg in enumerate(legs):
-        left.wire(leg, (v, k))
-    left.wire((v, n), (v, n + 1))
-    right = _Draft()
-    legs = right.legs(n)
-    v = right.vertex(kind(n))
-    for k, leg in enumerate(legs):
-        right.wire(leg, (v, k))
-    return left.build(), right.build()
+def _disconnect(n: int) -> tuple[str, str]:
+    return f"w(1,1) ; w(1,{n}) ; w({n},1) ; w(1,1)", _par("w(1,1) ; w(1,0)", "w(0,1) ; w(1,1)")
 
 
-def _disconnect(n: int) -> tuple[Diagram, Diagram]:
-    left = _Draft()
-    a, b = left.legs(2)
-    top, bottom = left.vertex(Black(n + 1)), left.vertex(Black(n + 1))
-    left.link(a, (top, 0), _tick())
-    for k in range(n):
-        left.wire((top, 1 + k), (bottom, 1 + k))
-    left.link((bottom, 0), b, _tick())
-    right = _Draft()
-    a, b = right.legs(2)
-    u1, u2 = right.vertex(Black(1)), right.vertex(Black(1))
-    right.link(a, (u1, 0), _tick())
-    right.link((u2, 0), b, _tick())
-    return left.build(), right.build()
+def _state(side: str | Diagram) -> Diagram:
+    """A rule side: term text parsed with every leg flagged "out"."""
+    if isinstance(side, Diagram):
+        return side
+    g = from_term(parse_term(side))
+    return with_boundary_dirs(g, ("out",) * len(g.boundary))
 
 
 def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -> list[Rule]:
@@ -676,40 +268,23 @@ def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -
 
     rules: list[Rule] = []
 
-    def add(name: str, sides: tuple[Diagram, Diagram], params: tuple[int, ...] = (),
+    def add(name: str, sides: tuple[str | Diagram, str | Diagram], params: tuple[int, ...] = (),
             derived: bool = False) -> None:
-        rules.append(_rule(name, sides[0], sides[1], params, derived))
+        lhs, rhs = _state(sides[0]), _state(sides[1])
+        rules.append(Rule(name, lhs, rhs, tuple(range(len(lhs.boundary))), params, derived))
 
-    add("0a", _rule_leg_swap(Black(3)))
-    add("0b", _rule_leg_swap(White(3)))
-    add("1a", _rule_1a())
-    add("1b", _rule_1b())
-    add("1c", _rule_1c())
-    add("1d", _rule_1d())
-    add("2a", _rule_involution(Black(2)))
-    add("2b", _rule_involution(White(2)))
-    add("3a", _rule_3a())
-    add("3b", _rule_3b())
-    add("4a", _rule_4a())
-    add("4b", _rule_4b())
-    add("5a", _rule_5a())
-    add("5b", _rule_5b())
-    add("5c", _rule_5c())
-    add("6a", _rule_6a())
-    add("6b", _rule_6b())
-    add("7a", _rule_7a())
-    add("7b", _rule_7b())
-    add("X", _rule_x())
-
+    *axioms, braiding = _FIXED
+    for name, lhs, rhs, derived in axioms:
+        add(name, (lhs, rhs), derived=derived)
     for n in range(max_arity + 1):
         for m in range(max_arity + 1):
-            add(f"sp_W({n},{m})", _spider(n, m, Black), (n, m))
-            add(f"sp_Z({n},{m})", _spider(n, m, White), (n, m))
+            add(f"sp_W({n},{m})", _spider("w", n, m), (n, m))
+            add(f"sp_Z({n},{m})", _spider("z", n, m), (n, m))
     for n in range(3, max_arity + 1):
         add(f"ph({n})", _phase(n), (n,), derived=True)
     for n in range(2, max_arity + 1):
-        add(f"am_W({n})", _automorphism(n, Black), (n,), derived=True)
-        add(f"am_Z({n})", _automorphism(n, White), (n,), derived=True)
+        add(f"am_W({n})", _automorphism("w", n), (n,), derived=True)
+        add(f"am_Z({n})", _automorphism("z", n), (n,), derived=True)
     for n in range(max_arity + 1):
         for m in range(max_arity + 1):
             add(f"ba_W({n},{m})", _ba_black(n, m), (n, m), derived=True)
@@ -721,10 +296,11 @@ def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -
     for n in range(1, max_arity + 1):
         for m in range(1, max_arity + 1):
             add(f"ba({n},{m})", _ba_mixed(n, m), (n, m), derived=True)
-    add("ba_braiding", _ba_braiding(), derived=True)
+    name, lhs, rhs, derived = braiding
+    add(name, (lhs, rhs), derived=derived)
     for n in range(max_arity + 1):
-        add(f"tr_W({n})", _trace(n, Black), (n,), derived=True)
-        add(f"tr_Z({n})", _trace(n, White), (n,), derived=True)
+        add(f"tr_W({n})", _trace("w", n), (n,), derived=True)
+        add(f"tr_Z({n})", _trace("z", n), (n,), derived=True)
     if extensions is not None:
         add(f"or({extensions})", _disconnect(extensions), (extensions,))
 

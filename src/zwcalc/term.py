@@ -23,6 +23,7 @@ is isomorphic to ``g``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     BOUNDARY,
@@ -144,8 +145,7 @@ class Par(Term):
 _KEYWORDS = {"id", "swap", "cup", "cap", "x", "w", "z"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'name' | 'nat' | punctuation
     text: str
     line: int

@@ -70,18 +70,24 @@ def self_crossed_wire() -> Diagram:
     return b.build()
 
 
-def relabel(g: Diagram, rng: random.Random) -> Diagram:
+def relabel(g: Diagram, rng: random.Random, free_crossings: bool = False) -> Diagram:
     """An isomorphic copy: vertex ids, port orders and strands shuffled.
 
     Black/White ports are permuted freely.  A crossing's strands may trade
     places and the two ports of each strand may trade places, so every
-    vertex keeps its kind.
+    vertex keeps its kind.  With ``free_crossings`` a crossing's four ports
+    are renamed freely instead and its strands are renamed with them, so
+    its strand pairing may change.
     """
     vids = sorted(g.vertices)
     vid_map = dict(zip(vids, rng.sample(range(len(vids) + 10), len(vids))))
     port_map: dict[int, list[int]] = {}
+    vertices = {}
     for vid, kind in g.vertices.items():
-        if isinstance(kind, Crossing):
+        if isinstance(kind, Crossing) and free_crossings:
+            perm = rng.sample(range(4), 4)
+            kind = Crossing(tuple((perm[a], perm[b]) for a, b in kind.strands))
+        elif isinstance(kind, Crossing):
             targets = list(kind.strands)
             rng.shuffle(targets)
             perm = [0] * 4
@@ -91,7 +97,7 @@ def relabel(g: Diagram, rng: random.Random) -> Diagram:
         else:
             perm = rng.sample(range(kind.arity), kind.arity)
         port_map[vid] = perm
-    vertices = {vid_map[vid]: kind for vid, kind in g.vertices.items()}
+        vertices[vid_map[vid]] = kind
 
     def move(p):
         return p if p[0] == BOUNDARY else (vid_map[p[0]], port_map[p[0]][p[1]])

@@ -229,18 +229,20 @@ def _iso_edges(g: Diagram, vmap: dict, flips: dict) -> list:
 def oracle_isomorphic(g: Diagram, h: Diagram) -> bool:
     """Boundary-respecting isomorphism, brute force.
 
-    Tries every vertex bijection from g onto h that keeps each vertex's
-    kind (crossings included, strands and all), with every choice of strand
-    flips on g's crossings, and compares the two edge multisets with each
-    port collapsed to its Black/White vertex, crossing strand or boundary
-    position.
+    Tries every vertex bijection from g onto h that keeps each Black and
+    White vertex's kind and maps crossings to crossings, whatever their
+    strand pairings, with every choice of strand flips on g's crossings,
+    and compares the two edge multisets with each port collapsed to its
+    Black/White vertex, crossing strand (by that crossing's own pairing) or
+    boundary position.
     """
     if g.boundary != h.boundary or g.circles != h.circles:
         return False
     groups: list[dict] = [{}, {}]
     for index, d in enumerate((g, h)):
         for vid in sorted(d.vertices):
-            groups[index].setdefault(d.vertices[vid], []).append(vid)
+            kind = d.vertices[vid]
+            groups[index].setdefault(Crossing if isinstance(kind, Crossing) else kind, []).append(vid)
     g_groups, h_groups = groups
     if {k: len(v) for k, v in g_groups.items()} != {k: len(v) for k, v in h_groups.items()}:
         return False

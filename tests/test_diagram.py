@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -235,16 +236,47 @@ class TestIsomorphism:
         )
         assert isomorphic(g, shifted)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-    @settings(max_examples=300)
-    def test_isomorphic_agrees_with_the_oracle(self, seed, rewire):
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=400)
+    def test_isomorphic_agrees_with_the_oracle(self, seed, rewire, free_crossings):
+        # With free_crossings the copy's crossings may carry other strand
+        # pairings than the original's.
         g = random_diagram(random.Random(f"iso:{seed}"), 6, 4, 3)
         rng = random.Random(seed)
-        h = relabel(g, rng)
+        h = relabel(g, rng, free_crossings)
         if rewire:
             h = swap_edge_ends(h, rng)
         assert isomorphic(g, h) == oracle_isomorphic(g, h)
         assert rewire or isomorphic(g, h)
+
+    def test_crossing_strand_pairing_is_not_part_of_the_kind(self):
+        # Strands {leg 0, leg 1} and {leg 2, leg 3} both times: once with
+        # port k on leg k, once as a default crossing with ports 0, 3, 1, 2.
+        paired = Diagram(
+            {0: Crossing(((0, 1), (2, 3)))}, tuple(((0, k), (BOUNDARY, k)) for k in range(4)),
+            ("out",) * 4,
+        )
+        default = Diagram(
+            {0: Crossing()}, tuple(((0, p), (BOUNDARY, k)) for k, p in enumerate((0, 3, 1, 2))),
+            ("out",) * 4,
+        )
+        assert canonical_form(paired) == canonical_form(default)
+        assert oracle_isomorphic(paired, default)
+        assert isomorphic(paired, default)
+
+    def test_joined_twins_do_not_branch(self):
+        # Both ends of a Black(1)-Black(1) pair are twins, so k disjoint
+        # pairs take k! leaves rather than 2^k k!.
+        pairs = 7
+        g = Diagram(
+            {v: Black(1) for v in range(2 * pairs)},
+            tuple(((2 * i, 0), (2 * i + 1, 0)) for i in range(pairs)),
+            (),
+        )
+        started = time.perf_counter()
+        form = canonical_form(g)
+        assert time.perf_counter() - started < 1.0
+        assert canonical_form(relabel(g, random.Random(0))) == form
 
     @pytest.mark.parametrize("rungs", [13, 20])
     def test_long_ladders_are_labeled(self, rungs):

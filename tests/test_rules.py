@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from zwcalc.diagram import (
     Diagram,
     DiagramBuilder,
     White,
+    canonical_form,
     plug,
     validate,
 )
@@ -46,6 +48,46 @@ APPLY_POOL = SMALL_LHS + [
     "5a", "6a", "7a", "sp_W(2,2)", "sp_Z(0,3)", "tr_Z(0)", "am_Z(3)",
     "ba(1,1)", "ba_W(1,1)", "lp_W(2,1)", "lp(2)",
 ]
+
+# sha256 over (name, params, derived, boundary_map, canonical_form(lhs),
+# canonical_form(rhs)) of each family's rules in catalog(4), or(2) and or(3),
+# recorded from the port-by-port builders that the term text replaced.  A
+# family is a rule name up to its parameters.
+CATALOG_DIGESTS = {
+    "0a": "f17ce7e191b055e39a34c1d081d2741cc6388f748d2448289ef07272a5aa497d",
+    "0b": "d28426a806fddaeba0478cef468a51bd496c553898b70bc22c8ab3143b2cf4f4",
+    "1a": "cfd9ec7e7c3105ea82949efb638c4c5aacc874fadd2f0840eab21d3aa6e769dc",
+    "1b": "807b0684dbc607ba6c015107b7841dea9ff8f6080d5698b6eed1cf7ddc9774fc",
+    "1c": "bc5f0580afc68404494829750057b7055c6d862d5dfe54f6bd3077a86071aed3",
+    "1d": "392507bcbf8176295e8be38bc19ef18c0231415a440f7a3f08c550107c587b16",
+    "2a": "5322db53699a0d4a1f059340a34eb47fc9a647bafd962c370f578255ab91b6a2",
+    "2b": "958168842dcbec83f4273b72c9419d4babfe573fc2635575b57fcd71a9895db7",
+    "3a": "cd5fc483ea39a4e4754e5eff76510c0a865d9b64feb5c80b2bad1f00b1066370",
+    "3b": "b062bf28c24b718ad2ae9901dee1fd7025d92295d9ab6731cfab61302268becf",
+    "4a": "df7f87eeba901e588c46c69dbcc00f09ec21cca772d2e2290fdc54b3401bca5b",
+    "4b": "4c0e641a41ccd0316b0c278fea7083cd8bf2307d1915ef3326a4363c51a0deeb",
+    "5a": "37aae6f6bbc674387faa4fb870c2ca66ca97667eba82d6d633801e742bbe306b",
+    "5b": "badc70929c62b6a8297e8a16cad2951f18fcfa69a2d18f6d7abc239c1d496ff5",
+    "5c": "ce302f87a102928d52d662efc34b51f8a7df0c42eac66f5684a5b532ccd53402",
+    "6a": "9f02d503c4d71ec51aa1d0ddb765c839ede45e4a7d6f8539646a4d56c9cc861b",
+    "6b": "f8738eb5596ec736249870d8ce170de1cb90a4deb3f3602c8bd2803c4711e86f",
+    "7a": "0192e1d5c7d13c4a037c079875e81df29cbf4022f568dcce072bcdd91df16e5c",
+    "7b": "70e512b8d896e37a2e56df793c179b945e368a7ee10416e3cfd7311258e7f3f9",
+    "X": "701d7ed13c841674fb6a91ffc3823c887112bd8421d13ad78c9f9dd27b9abb56",
+    "sp_W": "eb404b77a56992f45d8e407afeadfe1507f329af627e1d3ff84a4734c57bb91e",
+    "sp_Z": "fdd1b63d6d46a1036ebe610a7a268f22015613445821fefe03f8760ef09be94c",
+    "ph": "14b2b723846506873a34a7713f07e99c49b345a389c1419e929e6ce2b9632346",
+    "am_W": "d3c780c80d3a803fc92d073dfd48bda8474cb636d4ac093ea7fc184a8badc137",
+    "am_Z": "28ea33db8e8a534359b28502972cb050f90d9e6484bfb6cca2017f69e97e8fa8",
+    "ba_W": "06cbe919fa64364cc05c6e1dd2434ee22c2c8a6f2f0d6d1be012b4be37441492",
+    "lp_W": "42c4fa16ff195c10a1876e6337b7ffb579903a486d8122362349e67c9cae4c50",
+    "lp": "d697f742619dbb82e770fcce0615f58ac699ec4c10e1824e8d47edf88127f71c",
+    "ba": "cbf7b3b69170ac61398426b31d71367e5ea05f241abe9a18ea16ecb501d09081",
+    "ba_braiding": "e4b87058afad7c9e45be128541aa2af29dfdf8cec5b27338756bc0adaa81de7e",
+    "tr_W": "1b8382d8b611c9be0fcb4aaa727ff0390f847daa6a70f67b04918ebc1c55502e",
+    "tr_Z": "a637ccf3409e4d1548a475b0b2f733eec76f00666ed4a3e10349927dc1d069f8",
+    "or": "7963802f235bdb1d9fcac1418cb2e0d1c0b7e568f43e427686ea40ef0f4a62ca",
+}
 
 
 class TestCatalog:
@@ -78,6 +120,22 @@ class TestCatalog:
         extended = {r.name: r for r in catalog(4, extensions=3)}
         assert "or(3)" in extended
         assert extended["or(3)"].params == (3,)
+
+    def test_every_family_matches_its_pinned_digest(self):
+        rules = catalog(4) + [
+            rule for m in (2, 3) for rule in catalog(4, extensions=m) if rule.name.startswith("or(")
+        ]
+        rows: dict[str, list[str]] = {}
+        for r in rules:
+            row = (r.name, r.params, r.derived, r.boundary_map,
+                   canonical_form(r.lhs), canonical_form(r.rhs))
+            rows.setdefault(r.name.split("(")[0], []).append(repr(row))
+        digests = {
+            family: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for family, lines in rows.items()
+        }
+        assert sorted(digests) == sorted(CATALOG_DIGESTS)
+        assert [f for f in CATALOG_DIGESTS if digests[f] != CATALOG_DIGESTS[f]] == []
 
     def test_bounds_are_validated(self):
         with pytest.raises(ValueError):
