@@ -79,6 +79,10 @@ class Crossing:
 
 VertexKind = Black | White | Crossing
 
+#: The three splits of a crossing's ports into two strands, in the sorted
+#: form that ``Crossing`` stores.
+_PAIRINGS = frozenset({((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))})
+
 
 def port_count(kind: VertexKind) -> int:
     """Number of ports a vertex of this kind owns."""
@@ -179,8 +183,7 @@ class Diagram:
         for vid in sorted(self.vertices):
             kind = self.vertices[vid]
             if isinstance(kind, Crossing):
-                flat = sorted(kind.strands[0] + kind.strands[1])
-                if flat != [0, 1, 2, 3]:
+                if kind.strands not in _PAIRINGS:
                     problems.append(
                         f"crossing {vid} strands {kind.strands} do not partition its 4 ports"
                     )

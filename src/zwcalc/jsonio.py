@@ -54,7 +54,11 @@ def diagram_to_obj(g: Diagram) -> dict[str, Any]:
 
 
 def diagram_from_obj(obj: Any) -> Diagram:
-    """Parse the object form back into a validated diagram."""
+    """Parse the object form back into a validated diagram.
+
+    Integers are checked with ``type(v) is int``: ``bool`` subclasses
+    ``int``, and ``true`` must not read as 1.
+    """
     if not isinstance(obj, dict):
         raise DiagramError("graph document must be a JSON object")
     vertices: dict[int, Any] = {}
@@ -63,7 +67,7 @@ def diagram_from_obj(obj: Any) -> Diagram:
             vid, kind = record["id"], record["kind"]
         except (TypeError, KeyError) as err:
             raise DiagramError(f"vertex record {record!r} lacks id/kind") from err
-        if not isinstance(vid, int) or vid in vertices:
+        if type(vid) is not int or vid in vertices:
             raise DiagramError(f"bad or duplicate vertex id {vid!r}")
         if kind == "W":
             vertices[vid] = Black(_arity(record))
@@ -72,10 +76,12 @@ def diagram_from_obj(obj: Any) -> Diagram:
         elif kind == "X":
             strands = record.get("strands", [[0, 3], [1, 2]])
             try:
-                a, b = strands
-                vertices[vid] = Crossing((tuple(a), tuple(b)))
+                (a, b), (c, d) = strands
             except (TypeError, ValueError) as err:
                 raise DiagramError(f"bad strands {strands!r} on vertex {vid}") from err
+            if not all(type(k) is int for k in (a, b, c, d)):
+                raise DiagramError(f"bad strands {strands!r} on vertex {vid}")
+            vertices[vid] = Crossing(((a, b), (c, d)))
         else:
             raise DiagramError(f"unknown vertex kind {kind!r}")
 
@@ -86,7 +92,7 @@ def diagram_from_obj(obj: Any) -> Diagram:
             raise DiagramError(f"bad port reference {ref!r}") from err
         if owner == "boundary":
             owner = BOUNDARY
-        if not isinstance(owner, int) or not isinstance(index, int):
+        if type(owner) is not int or type(index) is not int:
             raise DiagramError(f"bad port reference {ref!r}")
         return (owner, index)
 
@@ -104,7 +110,7 @@ def diagram_from_obj(obj: Any) -> Diagram:
             raise DiagramError(f"boundary record {record!r} lacks a dir")
         boundary.append(record["dir"])
     circles = obj.get("circles", 0)
-    if not isinstance(circles, int):
+    if type(circles) is not int:
         raise DiagramError(f"bad circle count {circles!r}")
     g = Diagram(vertices, edges, tuple(boundary), circles)
     problems = g.validate()
@@ -131,7 +137,7 @@ def _list(obj: dict[str, Any], key: str) -> list[Any]:
 
 def _arity(record: dict[str, Any]) -> int:
     arity = record.get("arity")
-    if not isinstance(arity, int) or arity < 0:
+    if type(arity) is not int or arity < 0:
         raise DiagramError(f"bad arity on vertex record {record!r}")
     return arity
 

@@ -7,6 +7,7 @@ Grammar (whitespace insignificant)::
     atom   := '(' term ')' | generator
     generator := 'id' | 'swap' | 'cup' | 'cap' | 'x'
                | 'w' '(' nat ',' nat ')' | 'z' '(' nat ',' nat ')'
+    nat    := [0-9]+                        ASCII digits only
 
 ``w(n,m)`` is a Black vertex with n inputs and m outputs, ``z(n,m)`` a White
 vertex, ``x`` the fermionic crossing.  ``id``, ``swap``, ``cup`` and ``cap``
@@ -16,20 +17,27 @@ collapse to plain wires.
 Terms are typed by their wire counts; :func:`from_term` rejects sequential
 compositions whose counts disagree.  :func:`to_term` is the inverse direction:
 it expresses any diagram whose boundary lists all inputs before all outputs as
-a term (generally not the prettiest one) such that ``from_term(to_term(g))``
-is isomorphic to ``g``.
+a term such that ``from_term(to_term(g))`` is isomorphic to ``g``.  The term
+has three layers: a state of generators with every leg out (input wires pass
+through as identities), one swap network that brings the two ends of each
+wire side by side, and one cap layer that closes them.
+
+Parentheses nest at most 100 deep.  Long runs of ``;`` or ``*`` are fine:
+:func:`from_term` and :func:`term_to_text` walk them without recursing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .diagram import (
     BOUNDARY,
     Black,
     Crossing,
     Diagram,
+    Port,
     VertexKind,
     White,
     _resolve_wires,
@@ -85,7 +93,9 @@ class Cross(Term):
 
 
 @dataclass(frozen=True)
-class WGen(Term):
+class _Spider(Term):
+    """A ``w(n,m)`` or ``z(n,m)`` generator: n inputs, m outputs."""
+
     n_in: int = 0
     n_out: int = 0
 
@@ -99,17 +109,13 @@ class WGen(Term):
 
 
 @dataclass(frozen=True)
-class ZGen(Term):
-    n_in: int = 0
-    n_out: int = 0
+class WGen(_Spider):
+    pass
 
-    @property
-    def ins(self) -> int:
-        return self.n_in
 
-    @property
-    def outs(self) -> int:
-        return self.n_out
+@dataclass(frozen=True)
+class ZGen(_Spider):
+    pass
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,17 @@ class Par(Term):
 # -- parsing ------------------------------------------------------------------
 
 _KEYWORDS = {"id", "swap", "cup", "cap", "x", "w", "z"}
+_PUNCTUATION = frozenset("();*,")
+
+#: How deep parentheses may nest.  The parser recurses once per level, so
+#: the bound keeps it well under Python's recursion limit.
+_MAX_NESTING = 100
+
+#: The source split into tokens and white space: a run of ASCII digits (a
+#: ``nat``; ``str.isdigit`` and ``\d`` also accept superscripts and other
+#: scripts' digits), a run of letters and digits, a run of white space
+#: other than newlines, or any other single character.
+_PIECE = re.compile(r"[0-9]+|[^\W_]+|[^\S\n]+|.", re.DOTALL)
 
 
 class _Token(NamedTuple):
@@ -155,43 +172,21 @@ class _Token(NamedTuple):
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, column = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch in "();*,":
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", source[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(source) and source[j].isalnum():
-                j += 1
-            word = source[i:j]
-            if word not in _KEYWORDS:
-                raise TermSyntaxError(f"unknown generator {word!r}", line, column)
-            tokens.append(_Token("name", word, line, column))
-            column += j - i
-            i = j
-            continue
-        raise TermSyntaxError(f"unexpected character {ch!r}", line, column)
+    for text in _PIECE.findall(source):
+        if text in _PUNCTUATION:
+            tokens.append(_Token(text, text, line, column))
+        elif text in _KEYWORDS:
+            tokens.append(_Token("name", text, line, column))
+        elif text.isspace():
+            if text == "\n":
+                line, column = line + 1, 0
+        elif "0" <= text[0] <= "9":
+            tokens.append(_Token("nat", text, line, column))
+        elif text[0].isalpha():
+            raise TermSyntaxError(f"unknown generator {text!r}", line, column)
+        else:
+            raise TermSyntaxError(f"unexpected character {text[0]!r}", line, column)
+        column += len(text)
     tokens.append(_Token("end", "", line, column))
     return tokens
 
@@ -200,6 +195,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -229,8 +225,14 @@ class _Parser:
     def atom(self) -> Term:
         token = self.peek()
         if token.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise TermSyntaxError(
+                    f"parentheses nest deeper than {_MAX_NESTING}", token.line, token.column
+                )
             self.take("(")
+            self.depth += 1
             node = self.term()
+            self.depth -= 1
             self.take(")")
             return node
         if token.kind == "name":
@@ -257,18 +259,39 @@ def parse_term(source: str) -> Term:
     return node
 
 
+def _halves(node: Seq | Par) -> tuple[Term, Term]:
+    """A composite's two operands: lower then upper, or left then right."""
+    if isinstance(node, Seq):
+        return node.lower, node.upper
+    return node.left, node.right
+
+
 def term_to_text(term: Term) -> str:
-    """Render a term back to parseable text."""
-    if isinstance(term, Seq):
-        return f"({term_to_text(term.lower)} ; {term_to_text(term.upper)})"
-    if isinstance(term, Par):
-        return f"({term_to_text(term.left)} * {term_to_text(term.right)})"
-    if isinstance(term, WGen):
-        return f"w({term.n_in},{term.n_out})"
-    if isinstance(term, ZGen):
-        return f"z({term.n_in},{term.n_out})"
+    """Render a term back to parseable text.
+
+    A left-nested run of ``;`` (or of ``*``) is written inside one pair of
+    parentheses, which the parser reads back as the same run.  Runs are
+    walked with an explicit stack, so long ones do not recurse.
+    """
     names = {Id: "id", Swap: "swap", Cup: "cup", Cap: "cap", Cross: "x"}
-    return names[type(term)]
+    out: list[str] = []
+    todo: list[Term | str] = [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, (Seq, Par)):
+            kind, op = type(node), " ; " if isinstance(node, Seq) else " * "
+            operands: list[Term | str] = []
+            while isinstance(node, kind):
+                node, last = _halves(node)
+                operands += [last, op]
+            todo += [")", *operands, node, "("]
+        elif isinstance(node, _Spider):
+            out.append(f"{'w' if isinstance(node, WGen) else 'z'}({node.n_in},{node.n_out})")
+        else:
+            out.append(names[type(node)])
+    return "".join(out)
 
 
 # -- term to diagram ----------------------------------------------------------
@@ -283,15 +306,6 @@ _WIRES: dict[type, tuple[tuple[int, int], ...]] = {
 }
 
 
-def _vertex_kind(term: Term) -> VertexKind:
-    if isinstance(term, Cross):
-        return Crossing()
-    if isinstance(term, WGen):
-        return Black(term.n_in + term.n_out)
-    assert isinstance(term, ZGen)
-    return White(term.n_in + term.n_out)
-
-
 def from_term(term: Term) -> Diagram:
     """Build the diagram of a well-typed term.
 
@@ -303,40 +317,45 @@ def from_term(term: Term) -> Diagram:
     numbers the vertices lower/left first, and records the wire pieces:
     those inside each generator and one per leg joined across a ``;``.  The
     pieces are then resolved into edges once, so the cost is linear in the
-    term's size.
+    term's size.  The walk keeps its own stack, so long runs of ``;`` or
+    ``*`` do not recurse.
     """
     vertices: dict[int, VertexKind] = {}
     segments: list[tuple[object, object]] = []
     count = 0
-
-    def walk(node: Term) -> tuple[list[int], list[int]]:
-        """The wire ends of ``node``'s inputs and of its outputs."""
-        nonlocal count
-        if isinstance(node, Seq):
-            lower_ins, lower_outs = walk(node.lower)
-            upper_ins, upper_outs = walk(node.upper)
-            if len(lower_outs) != len(upper_ins):
+    done: list[tuple[list[int], list[int]]] = []  # wire ends of finished subterms
+    todo: list[tuple[Term, bool]] = [(term, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, (Seq, Par)) and not ready:
+            first, second = _halves(node)
+            todo += [(node, True), (second, False), (first, False)]
+        elif isinstance(node, (Seq, Par)):
+            (ins, outs), (next_ins, next_outs) = done[-2], done.pop()
+            if isinstance(node, Par):
+                ins.extend(next_ins)
+                outs.extend(next_outs)
+                continue
+            if len(outs) != len(next_ins):
                 raise TermTypeError(
                     f"composition at column {node.pos}: lower side has "
-                    f"{len(lower_outs)} outputs but upper side expects {len(upper_ins)} inputs"
+                    f"{len(outs)} outputs but upper side expects {len(next_ins)} inputs"
                 )
-            segments.extend(zip(lower_outs, upper_ins))
-            return lower_ins, upper_outs
-        if isinstance(node, Par):
-            left_ins, left_outs = walk(node.left)
-            right_ins, right_outs = walk(node.right)
-            return left_ins + right_ins, left_outs + right_outs
-        legs = list(range(count, count + node.ins + node.outs))
-        count += len(legs)
-        if type(node) in _WIRES:
-            segments.extend((legs[a], legs[b]) for a, b in _WIRES[type(node)])
+            segments.extend(zip(outs, next_ins))
+            done[-1] = (ins, next_outs)
         else:
-            vid = len(vertices)
-            vertices[vid] = _vertex_kind(node)
-            segments.extend(((vid, k), end) for k, end in enumerate(legs))
-        return legs[: node.ins], legs[node.ins :]
+            legs = list(range(count, count + node.ins + node.outs))
+            count += len(legs)
+            if type(node) in _WIRES:
+                segments.extend((legs[a], legs[b]) for a, b in _WIRES[type(node)])
+            else:
+                vid = len(vertices)
+                spider = Black if isinstance(node, WGen) else White
+                vertices[vid] = Crossing() if isinstance(node, Cross) else spider(len(legs))
+                segments.extend(((vid, k), end) for k, end in enumerate(legs))
+            done.append((legs[: node.ins], legs[node.ins :]))
 
-    ins, outs = walk(term)
+    ((ins, outs),) = done
     boundary = {end: (BOUNDARY, position) for position, end in enumerate(ins + outs)}
     wires, circles = _resolve_wires(segments, set(range(count)) - boundary.keys())
     edges = tuple((boundary.get(p, p), boundary.get(q, q)) for p, q in wires)
@@ -345,14 +364,8 @@ def from_term(term: Term) -> Diagram:
 
 # -- diagram to term ----------------------------------------------------------
 
-
-def _identity_term(n: int) -> Term | None:
-    if n == 0:
-        return None
-    node: Term = Id()
-    for _ in range(n - 1):
-        node = Par(0, node, Id())
-    return node
+#: A 0 -> 4 term whose legs are ports 0, 2, 3, 1 of its plain ``x``.
+_CROSSING_STATE = parse_term("(cup * cup) ; (id * x * id)")
 
 
 def _par(parts: list[Term]) -> Term:
@@ -362,79 +375,47 @@ def _par(parts: list[Term]) -> Term:
     return node
 
 
-def _seq(lower: Term, upper: Term) -> Term:
-    return Seq(0, lower, upper)
+def _permutation_term(dest: list[int]) -> list[Term]:
+    """Swap layers that carry the wire at position k to position ``dest[k]``.
 
-
-def _adjacent_swap(width: int, position: int) -> Term:
-    """A width-wide identity with one swap at (position, position + 1)."""
-    parts: list[Term] = []
-    k = 0
-    while k < width:
-        if k == position:
-            parts.append(Swap())
-            k += 2
-        else:
-            parts.append(Id())
-            k += 1
-    return _par(parts)
-
-
-def _permutation_term(target: list[int]) -> Term | None:
-    """A swap network whose output position k carries input wire ``target[k]``.
-
-    Returns None for width 0; a plain identity when target is already sorted.
+    An odd-even transposition sort: at most ``len(dest)`` layers, each a row
+    of disjoint adjacent swaps.  Rounds that swap nothing are left out.
     """
-    width = len(target)
-    if width == 0:
-        return None
-    # Bubble-sorting the inverse permutation while mirroring each adjacent
-    # transposition onto the wires lands input wire target[k] at position k.
-    current = [0] * width
-    for position, wire in enumerate(target):
-        current[wire] = position
-    node: Term | None = None
-    changed = True
-    while changed:
-        changed = False
-        for k in range(width - 1):
-            if current[k] > current[k + 1]:
-                current[k], current[k + 1] = current[k + 1], current[k]
-                layer = _adjacent_swap(width, k)
-                node = layer if node is None else _seq(node, layer)
-                changed = True
-    if node is None:
-        node = _identity_term(width)
-    return node
-
-
-def _contract_last_pair(term: Term) -> Term:
-    """Cap together the last two wires of a term's output."""
-    width = term.outs
-    rest = _identity_term(width - 2)
-    cap_layer = Cap() if rest is None else Par(0, rest, Cap())
-    return _seq(term, cap_layer)
-
-
-def _crossing_state_term() -> Term:
-    """A 0 -> 4 term whose legs are crossing ports 0, 1, 2, 3 in order."""
-    base = _seq(Par(0, Cup(), Cup()), _par([Id(), Cross(), Id()]))
-    # legs now: (bent-in0, out0, out1, bent-in1); reorder to ports 0,1,2,3.
-    reorder = _permutation_term([0, 3, 1, 2])
-    assert reorder is not None
-    return _seq(base, reorder)
+    dest, goal = list(dest), sorted(dest)
+    layers: list[Term] = []
+    parity = 0
+    while dest != goal:
+        parts: list[Term] = []
+        k = 0
+        while k < len(dest):
+            if k % 2 == parity and k + 1 < len(dest) and dest[k] > dest[k + 1]:
+                dest[k], dest[k + 1] = dest[k + 1], dest[k]
+                parts.append(Swap())
+                k += 2
+            else:
+                parts.append(Id())
+                k += 1
+        if len(parts) < len(dest):
+            layers.append(_par(parts))
+        parity ^= 1
+    return layers
 
 
 def to_term(g: Diagram) -> Term:
     """Express a diagram as a term.
 
     Requires the boundary to list every ``in`` leg before every ``out`` leg
-    (term boundaries always have that shape).  The construction juxtaposes
-    one all-legs-out generator per vertex, caps internal wires pairwise, and
-    finally bends the input legs back down.
+    (term boundaries always have that shape).  The term has three layers:
+    a state, one swap network and one cap layer.  The state juxtaposes one
+    identity per input, one all-legs-out generator per vertex, one ``cup``
+    per bare wire and one ``cup ; cap`` per circle.  The swap network puts
+    each input next to the leg it faces, then both ends of each internal
+    wire, then the output legs in boundary order.  The cap layer closes
+    every pair and leaves the outputs.
     """
     dirs = list(g.boundary)
     n_in = dirs.count("in")
+    n_out = len(dirs) - n_in
     if dirs[:n_in] != ["in"] * n_in:
         raise DiagramError("to_term requires all input legs before all output legs")
     if g.validate():
@@ -442,93 +423,51 @@ def to_term(g: Diagram) -> Term:
     if not g.is_fully_wired():
         raise DiagramError("to_term requires every boundary leg to be wired")
 
-    # State legs: one per vertex port (vertex order), then two per bare wire,
-    # then g's boundary legs will be located among them via their edges.
-    leg_of_port: dict[tuple[int, int] | str, int] = {}
-    parts: list[Term] = []
-    next_leg = 0
+    parts: list[Term] = [Id() for _ in range(n_in)]
+    leg: dict[Port, int] = {}  # vertex port -> its leg in the state
+    width = n_in
     for vid in sorted(g.vertices):
         kind = g.vertices[vid]
-        if isinstance(kind, Black):
-            parts.append(WGen(0, 0, kind.arity))
-            width = kind.arity
-        elif isinstance(kind, White):
-            parts.append(ZGen(0, 0, kind.arity))
-            width = kind.arity
+        if isinstance(kind, Crossing):
+            # Plain x pairs ports 0-3 and 1-2, so strand (a, b) goes on its
+            # ports 0 and 3, strand (c, d) on 1 and 2.
+            (a, b), (c, d) = kind.strands
+            parts.append(_CROSSING_STATE)
+            ports: Sequence[int] = (a, d, b, c)
         else:
-            parts.append(_crossing_state_term())
-            width = 4
-        for k in range(width):
-            leg_of_port[(vid, k)] = next_leg + k
-        next_leg += width
+            parts.append((WGen if isinstance(kind, Black) else ZGen)(0, 0, kind.arity))
+            ports = range(kind.arity)
+        for k, port in enumerate(ports):
+            leg[(vid, port)] = width + k
+        width += len(ports)
 
-    bare_wires: list[tuple[int, int]] = []
-    internal: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    boundary_edge: dict[int, tuple[int, int] | str] = {}  # boundary position -> leg key
+    facing: dict[int, int] = {}  # boundary position -> the leg wired to it
+    internal: list[tuple[int, int]] = []
     for p, q in g.edges:
-        p_b, q_b = p[0] == BOUNDARY, q[0] == BOUNDARY
-        if p_b and q_b:
-            bare_wires.append((p[1], q[1]))
-        elif p_b:
-            boundary_edge[p[1]] = q
-        elif q_b:
-            boundary_edge[q[1]] = p
+        if p[0] != BOUNDARY:
+            p, q = q, p
+        if p[0] != BOUNDARY:
+            internal.append((leg[p], leg[q]))
+        elif q[0] == BOUNDARY:
+            parts.append(Cup())
+            facing[p[1]], facing[q[1]] = width, width + 1
+            width += 2
         else:
-            internal.append((p, q))
-    for a, b in bare_wires:
-        parts.append(Cup())
-        boundary_edge[a] = f"wire{len(parts)}a"
-        boundary_edge[b] = f"wire{len(parts)}b"
-        leg_of_port[boundary_edge[a]] = next_leg
-        leg_of_port[boundary_edge[b]] = next_leg + 1
-        next_leg += 2
-    for _ in range(g.circles):
-        parts.append(_seq(Cup(), Cap()))
+            facing[p[1]] = leg[q]
+    parts.extend(Seq(0, Cup(), Cap()) for _ in range(g.circles))
+    if not parts:
+        raise DiagramError("the empty diagram has no term expression")
 
-    state: Term | None = _par(parts) if parts else None
+    pairs = [(k, facing[k]) for k in range(n_in)] + internal
+    dest = [0] * width
+    for slot, (a, b) in enumerate(pairs):
+        dest[a], dest[b] = 2 * slot, 2 * slot + 1
+    for k in range(n_out):
+        dest[facing[n_in + k]] = 2 * len(pairs) + k
 
-    # Cap each internal edge: bring its two legs to the far right, cap them.
-    positions = list(range(next_leg))  # positions[k] = which leg sits at k
-
-    for p, q in internal:
-        a, b = leg_of_port[p], leg_of_port[q]
-        order = [x for x in positions if x not in (a, b)] + [a, b]
-        perm = [positions.index(x) for x in order]
-        assert state is not None
-        mover = _permutation_term(perm)
-        if mover is not None and perm != sorted(perm):
-            state = _seq(state, mover)
-        positions = order
-        state = _contract_last_pair(state)
-        positions = positions[:-2]
-
-    # Arrange the surviving legs in boundary order.
-    want = [positions.index(leg_of_port[boundary_edge[i]]) for i in range(len(dirs))]
-    if state is not None and want and want != sorted(want):
-        mover = _permutation_term(want)
-        if mover is not None:
-            state = _seq(state, mover)
-
-    if n_in == 0:
-        if state is None:
-            raise DiagramError("the empty diagram has no term expression")
-        return state
-
-    # Bend the first n_in legs down: juxtapose input identities on the left,
-    # then cap input copy k against state leg k.
-    assert state is not None
-    ins = _identity_term(n_in)
-    assert ins is not None
-    bent = Par(0, ins, state)
-    positions = list(range(n_in + len(dirs)))
-    for k in range(n_in):
-        a, b = k, n_in + k
-        order = [x for x in positions if x not in (a, b)] + [a, b]
-        perm = [positions.index(x) for x in order]
-        mover = _permutation_term(perm)
-        if mover is not None and perm != sorted(perm):
-            bent = _seq(bent, mover)
-        positions = order
-        bent = _contract_last_pair(bent)
-        positions = positions[:-2]
-    return bent
+    node = _par(parts)
+    for layer in _permutation_term(dest):
+        node = Seq(0, node, layer)
+    if pairs:
+        node = Seq(0, node, _par([Cap() for _ in pairs] + [Id() for _ in range(n_out)]))
+    return node

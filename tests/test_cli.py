@@ -36,6 +36,12 @@ class TestEval:
         code, out, err = run(capsys, "eval", str(path))
         assert (code, out, err) == (0, "- 2\n", "")
 
+    def test_long_sequential_chain_evaluates(self, capsys, tmp_path):
+        path = tmp_path / "chain.zw"
+        path.write_text(" ; ".join(["id"] * 3000))
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out, err) == (0, "00 1\n11 1\n", "")
+
     def test_modular_evaluation_can_vanish(self, capsys, tmp_path):
         path = tmp_path / "circle.zw"
         path.write_text("cup ; cap")
@@ -179,17 +185,35 @@ class TestExitCodes:
             ("nf-of-tensor", "01 1\n1 2\n"),
             ("eval", BOUNDARY_ID_DOCUMENT),
             ("normalize", BOUNDARY_ID_DOCUMENT),
+            ("eval", "w(\u00b2,1)"),
+            ("eval", "w(\u0663,0)"),
+            ("eval", "(" * 1200 + "id" + ")" * 1200),
+            ("eval", '{"vertices": [{"id": 0, "kind": "W", "arity": true}],'
+                     ' "edges": [[[0, 0], ["boundary", 0]]], "boundary": [{"dir": "out"}]}'),
+            ("eval", '{"circles": true}'),
+            ("eval", '{"vertices": [{"id": true, "kind": "W", "arity": 1}],'
+                     ' "edges": [[[1, 0], ["boundary", 0]]], "boundary": [{"dir": "out"}]}'),
+            ("eval", '{"vertices": [{"id": 0, "kind": "X", "strands": [[false, 3], [true, 2]]}],'
+                     ' "edges": [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]}'),
+            ("eval", '{"vertices": [{"id": 0, "kind": "W", "arity": 1}],'
+                     ' "edges": [[[0, false], ["boundary", 0]]], "boundary": [{"dir": "out"}]}'),
+            ("eval", '{"vertices": [{"id": 0, "kind": "X", "strands": [[0, 1, 2], [3]]}],'
+                     ' "edges": [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]}'),
         ],
         ids=["vertices-not-a-list", "edges-not-a-list", "boundary-not-a-list",
              "one-port-edge", "mixed-bitstring-lengths", "boundary-vertex-id-eval",
-             "boundary-vertex-id-normalize"],
+             "boundary-vertex-id-normalize", "superscript-digit", "arabic-indic-digit",
+             "deep-parentheses", "boolean-arity", "boolean-circles", "boolean-vertex-id",
+             "boolean-strands", "boolean-port-index", "three-port-strand"],
     )
     def test_malformed_documents_are_parse_errors(self, capsys, tmp_path, command, content):
         # Exit 1 means a failed verification, so a malformed input must not
         # escape as a traceback.
         path = tmp_path / "bad.txt"
         path.write_text(content)
-        extra = ["--format", "json"] if command in ("eval", "normalize") else []
+        # Graph documents are JSON objects; anything else here is term text
+        # or a tensor file.
+        extra = ["--format", "json"] if content.startswith("{") else []
         code, out, err = run(capsys, command, str(path), *extra)
         assert code == 2
         assert out == "" and err.startswith("error:") and err.count("\n") == 1

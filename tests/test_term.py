@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import diagrams
+from helpers import diagrams, relabel
 from zwcalc.diagram import (
+    BOUNDARY,
     Black,
+    Crossing,
     Diagram,
     White,
     isomorphic,
@@ -20,6 +22,7 @@ from zwcalc.diagram import (
     with_boundary_dirs,
 )
 from zwcalc.errors import DiagramError, TermSyntaxError, TermTypeError
+from zwcalc.tensor import eval_diagram
 from zwcalc.term import (
     Cap,
     Cross,
@@ -121,6 +124,20 @@ class TestParsing:
         with pytest.raises(TermSyntaxError):
             parse_term("foo")
 
+    def test_parentheses_nest_to_a_bound(self):
+        assert term_to_text(parse_term("(" * 50 + "id" + ")" * 50)) == "id"
+        with pytest.raises(TermSyntaxError) as err:
+            parse_term("(" * 1200 + "id" + ")" * 1200)
+        assert err.value.column == 101
+
+    def test_long_runs_do_not_recurse(self):
+        chain = parse_term(" ; ".join(["id"] * 3000))
+        assert from_term(chain).edges == (((BOUNDARY, 0), (BOUNDARY, 1)),)
+        assert term_to_text(chain) == "(" + " ; ".join(["id"] * 3000) + ")"
+        row = parse_term(" * ".join(["cup"] * 3000))
+        assert len(from_term(row).edges) == 3000
+        assert term_to_text(row) == "(" + " * ".join(["cup"] * 3000) + ")"
+
     def test_error_position_tracks_lines(self):
         with pytest.raises(TermSyntaxError) as err:
             parse_term("cup ;\n  w(1,")
@@ -184,10 +201,35 @@ class TestToTerm:
         with pytest.raises(DiagramError):
             to_term(Diagram({}, (), ()))
 
-    @given(diagrams("to-term", max_vertices=5))
-    def test_roundtrip_on_random_states(self, g):
+    def test_crossing_strands_are_read_from_the_crossing(self):
+        # Port k on leg k: the strands pair adjacent legs, unlike plain x.
+        g = Diagram(
+            {0: Crossing(((0, 1), (2, 3)))},
+            tuple(((0, k), (BOUNDARY, k)) for k in range(4)),
+            ("out",) * 4,
+        )
+        h = from_term(to_term(g))
+        assert isomorphic(h, g)
+        assert eval_diagram(h) == eval_diagram(g)
+
+    def test_ladder_term_stays_small(self):
+        g = from_term(parse_term(" ; ".join(["(w(1,2) ; x ; w(2,1))"] * 8)))
+        text = term_to_text(to_term(g))
+        assert len(text) <= 5000
+        assert isomorphic(from_term(parse_term(text)), g)
+
+    def test_wide_diagrams_do_not_recurse(self):
+        wires = tuple(((BOUNDARY, 2 * k), (BOUNDARY, 2 * k + 1)) for k in range(1500))
+        g = Diagram({}, wires, ("out",) * 3000)
+        assert from_term(to_term(g)) == g
+
+    @given(diagrams("to-term", max_vertices=5), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_roundtrip_on_random_states(self, g, seed):
         assume(g.vertices or g.edges or g.circles)
-        state = with_boundary_dirs(g, ["out"] * len(g.boundary))
-        term = to_term(state)
-        assert isomorphic(from_term(term), state)
+        rng = random.Random(seed)
+        g = relabel(g, rng, free_crossings=True)
+        n_in = rng.randint(0, len(g.boundary))
+        g = with_boundary_dirs(g, ["in"] * n_in + ["out"] * (len(g.boundary) - n_in))
+        term = to_term(g)
+        assert isomorphic(from_term(term), g)
         assert from_term(term) == plugged_from_term(term)
