@@ -149,20 +149,9 @@ def permute(t: Tensor, order: Iterable[int]) -> Tensor:
     order = list(order)
     if sorted(order) != list(range(t.legs)):
         raise ValueError("order must be a permutation of the legs")
-    # Moving from leg old to leg new shifts a bit left by old - new.  Legs
-    # with the same shift move together: one mask-and-shift per shift.
-    selectors: dict[int, int] = {}
-    for new, old in enumerate(order):
-        selectors[old - new] = selectors.get(old - new, 0) | 1 << (t.legs - 1 - old)
-    moves = list(selectors.items())
-    entries = {}
-    for mask, coeff in t.entries.items():
-        new_mask = 0
-        for shift, selector in moves:
-            bits = mask & selector
-            new_mask |= bits << shift if shift >= 0 else bits >> -shift
-        entries[new_mask] = coeff
-    return Tensor(t.legs, entries)
+    top = t.legs - 1
+    moves = [(top - old, top - new) for new, old in enumerate(order)]
+    return Tensor(t.legs, _move_bits(t.entries, moves))
 
 
 def contract(a: Tensor, b: Tensor, pairing: Iterable[tuple[int, int]], ring: Ring = INTEGERS) -> Tensor:
@@ -180,52 +169,95 @@ def contract(a: Tensor, b: Tensor, pairing: Iterable[tuple[int, int]], ring: Rin
                 raise ValueError(f"{name} tensor has no leg {leg}")
         if len(set(used)) != len(used):
             raise ValueError(f"duplicated {name}-tensor leg in pairing")
-    # Move a's paired legs to its low end and b's to its high end, both in
-    # pairing order: then the shared bits of two masks are one bit field.
-    paired = len(pairs)
-    if a_used != list(range(a.legs - paired, a.legs)):
-        a = permute(a, [i for i in range(a.legs) if i not in a_used] + a_used)
-    if b_used != list(range(paired)):
-        b = permute(b, b_used + [j for j in range(b.legs) if j not in b_used])
-    shared = (1 << paired) - 1
-    b_rest = b.legs - paired
-    b_low = (1 << b_rest) - 1
-    by_key: dict[int, list[tuple[int, int]]] = {}
-    for mb, cb in b.entries.items():
-        by_key.setdefault(mb >> b_rest, []).append((mb & b_low, cb))
-    reduce = ring.reduce
+    # Place a's open legs at their output slots, above b's open legs, and
+    # a's paired legs above both: the join then leaves every leg in place.
+    a_open = [i for i in range(a.legs) if i not in a_used]
+    b_open = [j for j in range(b.legs) if j not in b_used]
+    width = len(a_open) + len(b_open)
+    slot = {i: width - 1 - r for r, i in enumerate(a_open)}
+    slot.update((i, width + r) for r, i in enumerate(a_used))
+    placed = _move_bits(a.entries, [(a.legs - 1 - i, s) for i, s in slot.items()])
+    opened = [(j, len(b_open) - 1 - r) for r, j in enumerate(b_open)]
+    return Tensor(width, _join(placed, b, [(j, slot[i]) for i, j in pairs], opened, [], ring))
+
+
+def _move_bits(entries: Mapping[int, int], moves: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Copy ``entries`` with the bit at each source position moved to its target.
+
+    Every set bit must be at a source position.  Moves with the same shift
+    go together: one mask-and-shift per distinct shift.
+    """
+    selectors: dict[int, int] = {}
+    for src, dst in moves:
+        selectors[dst - src] = selectors.get(dst - src, 0) | 1 << src
+    if not any(selectors):
+        return dict(entries)
+    shifts = list(selectors.items())
+    out = {}
+    for mask, coeff in entries.items():
+        new_mask = 0
+        for shift, selector in shifts:
+            bits = mask & selector
+            new_mask |= bits << shift if shift >= 0 else bits >> -shift
+        out[new_mask] = coeff
+    return out
+
+
+def _join(
+    acc: Mapping[int, int],
+    t: Tensor,
+    paired: Sequence[tuple[int, int]],
+    opened: Sequence[tuple[int, int]],
+    loops: Sequence[tuple[int, int]],
+    ring: Ring,
+) -> dict[int, int]:
+    """Absorb ``t`` into a slot-addressed accumulator; the one contraction loop.
+
+    Leg j of ``t`` is summed with the accumulator slot s for each (j, s) in
+    ``paired``, and with its own leg k for each (j, k) in ``loops``; for each
+    (j, s) in ``opened`` it lands on slot s, which is clear in every
+    accumulator mask once the paired slots are.  ``t``'s few entries are
+    indexed by the paired slots they match, so each accumulator entry
+    clears those slots and ORs in the opened bits of its matching entries.
+    """
+    top = t.legs - 1
+    index: dict[int, list[tuple[int, int]]] = {}
+    for mask, coeff in t.entries.items():
+        if loops and any((mask >> top - j ^ mask >> top - k) & 1 for j, k in loops):
+            continue
+        key = add = 0
+        for j, s in paired:
+            key |= (mask >> top - j & 1) << s
+        for j, s in opened:
+            add |= (mask >> top - j & 1) << s
+        index.setdefault(key, []).append((add, coeff))
+    shared = 0
+    for _, s in paired:
+        shared |= 1 << s
     entries: dict[int, int] = {}
-    for ma, ca in a.entries.items():
-        high = ma >> paired << b_rest
-        for low, cb in by_key.get(ma & shared, ()):
-            mask = high | low
-            value = reduce(entries.get(mask, 0) + ca * cb)
+    for ma, ca in acc.items():
+        key = ma & shared
+        base = ma ^ key
+        for add, cb in index.get(key, ()):
+            mask = base | add
+            value = entries.get(mask, 0) + ca * cb
             if value:
                 entries[mask] = value
             else:
                 entries.pop(mask, None)
-    return Tensor(a.legs - paired + b_rest, entries)
+    if not isinstance(ring, Integers):
+        reduce = ring.reduce
+        entries = {mask: value for mask, coeff in entries.items() if (value := reduce(coeff))}
+    return entries
 
 
 def trace_pair(t: Tensor, i: int, j: int, ring: Ring = INTEGERS) -> Tensor:
     """Contract legs i and j of the same tensor with the metric."""
     if i == j or not (0 <= i < t.legs and 0 <= j < t.legs):
         raise ValueError(f"cannot trace legs {i} and {j} of a {t.legs}-leg tensor")
-    lo, hi = sorted((t.legs - 1 - i, t.legs - 1 - j))  # bit positions
-    below = (1 << lo) - 1
-    between = (1 << hi) - (1 << (lo + 1))
-    reduce = ring.reduce
-    entries: dict[int, int] = {}
-    for mask, coeff in t.entries.items():
-        if (mask >> lo ^ mask >> hi) & 1:
-            continue
-        new_mask = mask & below | (mask & between) >> 1 | mask >> (hi + 1) << (hi - 1)
-        value = reduce(entries.get(new_mask, 0) + coeff)
-        if value:
-            entries[new_mask] = value
-        else:
-            entries.pop(new_mask, None)
-    return Tensor(t.legs - 2, entries)
+    rest = [k for k in range(t.legs) if k not in (i, j)]
+    opened = [(k, len(rest) - 1 - r) for r, k in enumerate(rest)]
+    return Tensor(len(rest), _join({0: 1}, t, [], opened, [(i, j)], ring))
 
 
 # -- text format --------------------------------------------------------------
@@ -277,15 +309,19 @@ def tensor_from_text(text: str, ring: Ring = INTEGERS) -> Tensor:
 
 # -- diagram evaluation -------------------------------------------------------
 #
-# Evaluation is one fold over the vertices with the ops above.  Each
-# accumulator leg stands for an open port of an absorbed vertex (or for a
-# boundary end of a bare wire).  A vertex's generator tensor first closes its
-# self-loops with ``trace_pair`` and is then joined to the accumulator by
-# ``contract``, pairing the edges it shares with absorbed vertices.  Bare
-# wires are juxtaposed last, and a final ``permute`` puts the legs in
-# boundary order.  A zero accumulator stays zero, so the fold stops as soon
-# as it empties.  ``_absorption_order`` and ``_boundary_order`` are shared
-# with the traced fold of ``normalform.normalize``.
+# Evaluation is one fold over the vertices on a slot-addressed accumulator:
+# a ``mask -> coefficient`` dict in which each open port (of an absorbed
+# vertex, or a boundary end of a bare wire) holds one fixed bit, its slot.
+# ``_join`` absorbs a vertex's generator tensor: its self-loops are summed
+# inside the join, each leg facing an absorbed vertex is summed with that
+# port's slot, which is then free, and each other leg takes a free slot,
+# reusing freed ones first.  So no leg moves during the fold, and the masks
+# are never wider than the most legs open at once.  Bare wires are joined
+# last, and one gather (``_move_bits``) puts the slots in boundary order.
+# ``contract``, ``trace_pair`` and ``permute`` run on the same two kernels.
+# A zero accumulator stays zero, so the fold stops as soon as it empties.
+# ``_absorption_order`` and ``_boundary_order`` are shared with the traced
+# fold of ``normalform.normalize``.
 
 
 @lru_cache(maxsize=256)
@@ -309,8 +345,10 @@ def eval_diagram(
     the absorbed vertices with the lowest score, its port count minus twice
     the edges it would close, ties going to the lowest id.  Only when no
     pending vertex has an absorbed neighbour is the minimum taken over all
-    of them.  Raises :class:`LegCapError` when the diagram has more open
-    legs than ``leg_cap`` (the guard against dense results).
+    of them.  Each open port keeps one bit (its slot) of the accumulator's
+    masks while it is open, and one gather at the end puts the legs in
+    boundary order.  Raises :class:`LegCapError` when the diagram has more
+    open legs than ``leg_cap`` (the guard against dense results).
     """
     errors = g.validate()
     if errors:
@@ -340,14 +378,15 @@ def _absorption_order(g: Diagram) -> Iterator[int]:
         elif p[0] != BOUNDARY and q[0] != BOUNDARY:
             neighbours[p[0]].append(q[0])
             neighbours[q[0]].append(p[0])
+    rank = {vid: (s, vid) for vid, s in score.items()}  # the (score, vid) of each pending vertex
     frontier: set[int] = set()
-    while score:
-        vid = min(frontier or score, key=lambda v: (score[v], v))
-        del score[vid]
+    while rank:
+        vid = min(frontier or rank, key=rank.__getitem__)
+        del rank[vid]
         frontier.discard(vid)
         for other in neighbours[vid]:
-            if other in score:
-                score[other] -= 2
+            if other in rank:
+                rank[other] = (rank[other][0] - 2, other)
                 frontier.add(other)
         yield vid
 
@@ -366,44 +405,44 @@ def _boundary_order(labels: Sequence[Port], partner: Mapping[Port, Port]) -> lis
 
 def _fold(g: Diagram, ring: Ring) -> Tensor:
     """``eval_diagram`` of a diagram its caller has already checked."""
-    zero = Tensor(len(g.boundary), {})
+    legs = len(g.boundary)
     scalar = ring.reduce(pow(2, g.circles))
     if not scalar:
-        return zero
-    acc = Tensor(0, {0: scalar})
-    labels: list[Port] = []  # the open port each accumulator leg stands for
+        return Tensor(legs, {})
+    acc = {0: scalar}
+    slot: dict[Port, int] = {}  # the accumulator bit of each open port
+    free: list[int] = []  # slots below len(slot) + len(free) held by no port
     partner = g.port_partner()
-    absorbed: set[int] = set()
 
     for vid in _absorption_order(g):
-        absorbed.add(vid)
         t = _generator(g.vertices[vid], ring)
-        ports = [(vid, k) for k in range(t.legs)]
-        for k in range(len(ports)):
+        paired, loops, opened = [], [], []
+        for k in range(t.legs):
             other = partner[(vid, k)]
-            if other[0] == vid and k < other[1]:
-                t = trace_pair(t, ports.index((vid, k)), ports.index(other), ring)
-                ports.remove((vid, k))
-                ports.remove(other)
-        pairing = []
-        for j, port in enumerate(ports):
-            other = partner[port]
-            if other[0] in absorbed:
-                pairing.append((labels.index(other), j))
-        acc = contract(acc, t, pairing, ring)
-        if not acc.entries:
-            return zero
-        paired_acc = {i for i, _ in pairing}
-        paired_t = {j for _, j in pairing}
-        labels = [lab for i, lab in enumerate(labels) if i not in paired_acc]
-        labels += [port for j, port in enumerate(ports) if j not in paired_t]
+            s = slot.pop(other, None)
+            if s is not None:
+                paired.append((k, s))
+                free.append(s)
+            elif other[0] != vid:
+                opened.append(k)
+            elif k < other[1]:
+                loops.append((k, other[1]))
+        for i, k in enumerate(opened):
+            s = slot[(vid, k)] = free.pop() if free else len(slot)
+            opened[i] = (k, s)
+        acc = _join(acc, t, paired, opened, loops, ring)
+        if not acc:
+            return Tensor(legs, {})
 
     for p, q in g.edges:
         if p[0] == q[0] == BOUNDARY:
-            acc = contract(acc, wire_tensor(ring), [], ring)
-            labels += [p, q]
+            for port in (p, q):
+                slot[port] = free.pop() if free else len(slot)
+            acc = _join(acc, wire_tensor(ring), [], [(0, slot[p]), (1, slot[q])], [], ring)
 
-    return permute(acc, _boundary_order(labels, partner))
+    ports = list(slot)
+    ends = [slot[ports[i]] for i in _boundary_order(ports, partner)]
+    return Tensor(legs, _move_bits(acc, [(s, legs - 1 - k) for k, s in enumerate(ends)]))
 
 
 # The API name for evaluation; the module keeps the explicit name as well.

@@ -118,32 +118,118 @@ class ZGen(_Spider):
     pass
 
 
-@dataclass(frozen=True)
-class Seq(Term):
+@dataclass(frozen=True, eq=False, repr=False)
+class _Composite(Term):
+    """A ``Seq`` or ``Par`` node.
+
+    Wire counts, ``==``, ``hash`` and ``repr`` walk the tree with an explicit
+    stack, so long runs of ``;`` or ``*`` do not recurse.  They give the
+    values and text of the dataclass-generated methods.
+    """
+
+    @property
+    def ins(self) -> int:
+        return _wire_count(self, inputs=True)
+
+    @property
+    def outs(self) -> int:
+        return _wire_count(self, inputs=False)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo: list[tuple[object, object]] = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, _Composite):
+                if a.pos != b.pos:  # type: ignore[attr-defined]
+                    return False
+                todo += zip(_halves(a), _halves(b))  # type: ignore[arg-type]
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: dict[int, _Hashed] = {}  # by node id, for composites already hashed
+        todo: list[_Composite] = [self]
+        while todo:
+            node = todo[-1]
+            halves = _halves(node)
+            pending = [h for h in halves if isinstance(h, _Composite) and id(h) not in hashes]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            parts = [hashes[id(h)] if isinstance(h, _Composite) else h for h in halves]
+            hashes[id(node)] = _Hashed(hash((node.pos, *parts)))
+        return hashes[id(self)].value
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list[object] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                out.append(node)
+            elif isinstance(node, _Composite):
+                (first, second), (name1, name2) = _halves(node), node._operands
+                head = f"{type(node).__qualname__}(pos={node.pos!r}, {name1}="
+                todo += [")", second, f", {name2}=", first, head]
+            else:
+                out.append(repr(node))
+        return "".join(out)
+
+
+class _Hashed:
+    """A hash value that hashes to itself inside a tuple, as its node would."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Composite):
     lower: Term = None  # type: ignore[assignment]
     upper: Term = None  # type: ignore[assignment]
-
-    @property
-    def ins(self) -> int:
-        return self.lower.ins
-
-    @property
-    def outs(self) -> int:
-        return self.upper.outs
+    _operands = ("lower", "upper")
 
 
-@dataclass(frozen=True)
-class Par(Term):
+@dataclass(frozen=True, eq=False, repr=False)
+class Par(_Composite):
     left: Term = None  # type: ignore[assignment]
     right: Term = None  # type: ignore[assignment]
+    _operands = ("left", "right")
 
-    @property
-    def ins(self) -> int:
-        return self.left.ins + self.right.ins
 
-    @property
-    def outs(self) -> int:
-        return self.left.outs + self.right.outs
+def _halves(node: _Composite) -> tuple[Term, Term]:
+    """A composite's two operands: lower then upper, or left then right."""
+    if isinstance(node, Seq):
+        return node.lower, node.upper
+    return node.left, node.right  # type: ignore[attr-defined]
+
+
+def _wire_count(term: Term, inputs: bool) -> int:
+    """``term.ins`` (or ``term.outs``): the lower (upper) end of a ``;``, summed over ``*``."""
+    total = 0
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq):
+            todo.append(node.lower if inputs else node.upper)
+        elif isinstance(node, Par):
+            todo += [node.left, node.right]
+        else:
+            total += node.ins if inputs else node.outs
+    return total
 
 
 # -- parsing ------------------------------------------------------------------
@@ -257,13 +343,6 @@ def parse_term(source: str) -> Term:
     node = parser.term()
     parser.take("end")
     return node
-
-
-def _halves(node: Seq | Par) -> tuple[Term, Term]:
-    """A composite's two operands: lower then upper, or left then right."""
-    if isinstance(node, Seq):
-        return node.lower, node.upper
-    return node.left, node.right
 
 
 def term_to_text(term: Term) -> str:

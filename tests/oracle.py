@@ -4,6 +4,8 @@
 per-vertex values computed from first principles.  ``oracle_contract``,
 ``oracle_trace`` and ``oracle_permute`` compute the tensor ops over
 bitstring-keyed dicts by enumerating every assignment of bits to legs.
+``oracle_black3_matchings`` evaluates graphs of Black-3 vertices too wide
+to enumerate by counting perfect matchings.
 ``oracle_embeddings`` enumerates pattern embeddings over raw per-vertex port
 bijections.  ``oracle_isomorphic`` enumerates vertex bijections and crossing
 strand flips.  All are exponential and only used on small instances; the point
@@ -67,6 +69,57 @@ def oracle_matches_tensor(g: Diagram, tensor, mod: int | None = None) -> bool:
     expected = oracle_eval(g, mod)
     actual = {tensor.bitstring(mask): coeff for mask, coeff in tensor.entries.items()}
     return tensor.legs == len(g.boundary) and actual == expected
+
+
+def oracle_black3_matchings(g: Diagram, mod: int | None = None) -> dict[str, int]:
+    """Entries of a diagram of Black-3 vertices, counted as perfect matchings.
+
+    A Black vertex is 1 exactly when one of its wires carries a 1.  So the
+    entry at a leg bitstring counts the sets of internal wires that, with the
+    legs set to 1, touch every vertex exactly once.  A self-loop touches its
+    vertex twice and is never in such a set; parallel wires count one by one;
+    a bare leg-to-leg wire needs equal bits at both ends.  The count takes
+    the lowest uncovered vertex with each wire that can cover it, memoised on
+    the uncovered set.
+    """
+    assert all(kind == Black(3) for kind in g.vertices.values())
+    bit = {vid: 1 << i for i, vid in enumerate(sorted(g.vertices))}
+    wires: dict[int, list[int]] = {b: [] for b in bit.values()}  # other end per wire
+    leg_vertex: dict[int, int] = {}
+    bare: list[tuple[int, int]] = []
+    for p, q in g.edges:
+        if p[0] == q[0] == BOUNDARY:
+            bare.append((p[1], q[1]))
+        elif BOUNDARY in (p[0], q[0]):
+            leg, port = (p, q) if p[0] == BOUNDARY else (q, p)
+            leg_vertex[leg[1]] = bit[port[0]]
+        elif p[0] != q[0]:
+            wires[bit[p[0]]].append(bit[q[0]])
+            wires[bit[q[0]]].append(bit[p[0]])
+
+    memo: dict[int, int] = {0: 1}
+
+    def matchings(uncovered: int) -> int:
+        if uncovered not in memo:
+            low = uncovered & -uncovered
+            rest = uncovered ^ low
+            memo[uncovered] = sum(matchings(rest ^ other) for other in wires[low] if rest & other)
+        return memo[uncovered]
+
+    everyone = sum(bit.values())
+    result: dict[str, int] = {}
+    for bits in product("01", repeat=len(g.boundary)):
+        if any(bits[a] != bits[b] for a, b in bare):
+            continue
+        covered = 0
+        for leg, vertex in leg_vertex.items():
+            if bits[leg] == "1":
+                if covered & vertex:
+                    break
+                covered |= vertex
+        else:
+            result["".join(bits)] = 2**g.circles * matchings(everyone ^ covered)
+    return _reduced(result, mod)
 
 
 def _reduced(result: dict[str, int], mod: int | None) -> dict[str, int]:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import circle, crossing_state, diagrams, self_crossed_wire, tensors, triangle, wire
-from oracle import oracle_contract, oracle_matches_tensor, oracle_permute, oracle_trace
+from oracle import (
+    oracle_black3_matchings,
+    oracle_contract,
+    oracle_matches_tensor,
+    oracle_permute,
+    oracle_trace,
+)
 from zwcalc.diagram import BOUNDARY, Black, Crossing, Diagram, White
 from zwcalc.errors import LegCapError
 from zwcalc.tensor import (
@@ -47,6 +55,15 @@ moduli = st.one_of(st.none(), st.integers(min_value=1, max_value=5))
 
 def ring_of(mod):
     return INTEGERS if mod is None else IntegersMod(mod)
+
+
+def cubic_graph(rng, vertices, legs):
+    """A random 3-regular Black multigraph with open legs (configuration model)."""
+    ports = [(BOUNDARY, i) for i in range(legs)]
+    ports += [(v, k) for v in range(vertices) for k in range(3)]
+    rng.shuffle(ports)
+    edges = tuple(zip(ports[::2], ports[1::2]))
+    return Diagram({v: Black(3) for v in range(vertices)}, edges, ("out",) * legs)
 
 
 class TestGeneratorTensors:
@@ -177,6 +194,22 @@ class TestEval:
             eval_diagram(g, ring), reduce_tensor(eval_diagram(g, INTEGERS), ring)
         )
 
+    def test_wide_cubic_graphs_agree_with_the_matching_count(self):
+        # Tables wide enough that closed edges free slots for later legs.
+        loops = parallel = nonzero = 0
+        for seed in range(30):
+            rng = random.Random(f"cubic:{seed}")
+            g = cubic_graph(rng, rng.choice([16, 18, 20, 22, 24]), rng.choice([0, 2, 4]))
+            pairs = [frozenset((p[0], q[0])) for p, q in g.edges if BOUNDARY not in (p[0], q[0])]
+            loops += any(len(pair) == 1 for pair in pairs)
+            parallel += len(set(pairs)) < len(pairs)
+            want = oracle_black3_matchings(g)
+            nonzero += bool(want)
+            got = eval_diagram(g, INTEGERS)
+            assert got.legs == len(g.boundary) and as_bitstrings(got) == want
+            assert as_bitstrings(eval_diagram(g, IntegersMod(3))) == oracle_black3_matchings(g, 3)
+        assert loops and parallel and nonzero > 20
+
 
 class TestTensorOps:
     def test_permute_moves_legs(self):
@@ -187,6 +220,22 @@ class TestTensorOps:
     def test_contract_pair_of_wires(self):
         got = contract(wire_tensor(), wire_tensor(), [(1, 0)])
         assert tensor_equal(got, wire_tensor())
+
+    def test_contract_and_permute_reject_bad_legs(self):
+        a, b = wire_tensor(), generator_tensor(Black(3))
+        for pairing, message in [
+            ([(2, 0)], "first tensor has no leg 2"),
+            ([(-1, 0)], "first tensor has no leg -1"),
+            ([(0, 3)], "second tensor has no leg 3"),
+            ([(0, -1)], "second tensor has no leg -1"),
+            ([(0, 0), (0, 1)], "duplicated first-tensor leg in pairing"),
+            ([(0, 1), (1, 1)], "duplicated second-tensor leg in pairing"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                contract(a, b, pairing)
+        for order in ([0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match="^order must be a permutation of the legs$"):
+                permute(b, order)
 
     def test_trace_pair_closes_the_metric(self):
         assert tensor_equal(trace_pair(wire_tensor(), 0, 1), scalar_tensor(2))

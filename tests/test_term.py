@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import assume, given
@@ -38,6 +39,20 @@ from zwcalc.term import (
     term_to_text,
     to_term,
 )
+
+
+# Plain frozen dataclasses shaped like Seq and Par, whose generated methods
+# recurse: the reference for the iterative ones.
+MirrorSeq = make_dataclass("Seq", [("pos", int), ("lower", object), ("upper", object)], frozen=True)
+MirrorPar = make_dataclass("Par", [("pos", int), ("left", object), ("right", object)], frozen=True)
+
+
+def mirror(term):
+    if isinstance(term, Seq):
+        return MirrorSeq(term.pos, mirror(term.lower), mirror(term.upper))
+    if isinstance(term, Par):
+        return MirrorPar(term.pos, mirror(term.left), mirror(term.right))
+    return term
 
 
 def plugged_from_term(term):
@@ -138,6 +153,35 @@ class TestParsing:
         assert len(from_term(row).edges) == 3000
         assert term_to_text(row) == "(" + " * ".join(["cup"] * 3000) + ")"
 
+    def test_deep_terms_compare_hash_and_print_without_recursing(self):
+        source = " ; ".join(["id"] * 3000)
+        chain, again = parse_term(source), parse_term(source)
+        assert chain is not again and chain == again and hash(chain) == hash(again)
+        assert chain != parse_term(source[:-2] + "x") and chain != parse_term("id ; " + source)
+        text = repr(chain)
+        assert text.startswith("Seq(pos=") and text.count("Id(pos=") == 3000
+        assert (chain.ins, chain.outs) == (1, 1)
+        row = parse_term(" * ".join(["cup"] * 3000))
+        assert (row.ins, row.outs) == (0, 6000)
+
+    def test_composites_keep_the_dataclass_values_and_text(self):
+        sources = [
+            "id ; id",
+            "cup * id ; id * cap",
+            "(w(1,3) ; x * id) ; (id * z(1,1) * id) ; swap * id ; w(3,0)",
+            "w(0,2) ; z(1,1) * w(1,0)",
+            "id * (id * (id ; id))",
+            "cup ; swap ; cap",
+        ]
+        terms = [parse_term(source) for source in sources]
+        for term in terms:
+            assert repr(term) == repr(mirror(term))
+            assert hash(term) == hash(mirror(term))
+            dirs = from_term(term).boundary
+            assert (term.ins, term.outs) == (dirs.count("in"), dirs.count("out"))
+            for other in terms + [parse_term(term_to_text(term)), Id(term.pos), None]:
+                assert (term == other) == (mirror(term) == mirror(other))
+
     def test_error_position_tracks_lines(self):
         with pytest.raises(TermSyntaxError) as err:
             parse_term("cup ;\n  w(1,")
@@ -221,7 +265,9 @@ class TestToTerm:
     def test_wide_diagrams_do_not_recurse(self):
         wires = tuple(((BOUNDARY, 2 * k), (BOUNDARY, 2 * k + 1)) for k in range(1500))
         g = Diagram({}, wires, ("out",) * 3000)
-        assert from_term(to_term(g)) == g
+        term = to_term(g)
+        assert (term.ins, term.outs) == (0, 3000)
+        assert from_term(term) == g
 
     @given(diagrams("to-term", max_vertices=5), st.integers(min_value=0, max_value=2**32 - 1))
     def test_roundtrip_on_random_states(self, g, seed):
