@@ -84,6 +84,11 @@ VertexKind = Black | White | Crossing
 _PAIRINGS = frozenset({((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))})
 
 
+#: ``Diagram.validate`` lists a vertex's unwired ports one by one up to this
+#: many, so that listing them takes time in the vertex's wired ports.
+_DANGLING_LISTED = 16
+
+
 def port_count(kind: VertexKind) -> int:
     """Number of ports a vertex of this kind owns."""
     if isinstance(kind, Crossing):
@@ -159,25 +164,39 @@ class Diagram:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Return a list of invariant violations; empty means well-formed."""
+        """Return a list of invariant violations; empty means well-formed.
+
+        Takes time in edges plus vertices, whatever the arities: a vertex with
+        more than ``_DANGLING_LISTED`` unwired ports gets one summary line.
+        """
         problems: list[str] = []
         seen: dict[Port, int] = {}
         for p, q in self.edges:
             if p == q:
                 problems.append(f"edge joins port {p} to itself")
-            for end in (p, q):
-                seen[end] = seen.get(end, 0) + 1
-        for port, count in sorted(seen.items()):
-            if count > 1:
-                problems.append(f"port {port} appears in {count} edges")
+            seen[p] = seen.get(p, 0) + 1
+            seen[q] = seen.get(q, 0) + 1
+        wired: dict[int, int] = {}
+        bad: list[tuple[Port, int, str]] = []
+        for port, count in seen.items():
             owner, index = port
+            fault = ""
             if owner == BOUNDARY:
                 if not 0 <= index < len(self.boundary):
-                    problems.append(f"edge references unknown boundary position {index}")
+                    fault = f"edge references unknown boundary position {index}"
             elif owner not in self.vertices:
-                problems.append(f"edge references unknown vertex {owner}")
-            elif not 0 <= index < port_count(self.vertices[owner]):
-                problems.append(f"vertex {owner} has no port {index}")
+                fault = f"edge references unknown vertex {owner}"
+            elif 0 <= index < port_count(self.vertices[owner]):
+                wired[owner] = wired.get(owner, 0) + 1
+            else:
+                fault = f"vertex {owner} has no port {index}"
+            if count > 1 or fault:
+                bad.append((port, count, fault))
+        for port, count, fault in sorted(bad):
+            if count > 1:
+                problems.append(f"port {port} appears in {count} edges")
+            if fault:
+                problems.append(fault)
         if BOUNDARY in self.vertices:
             problems.append(f"vertex id {BOUNDARY} is reserved for the boundary")
         for vid in sorted(self.vertices):
@@ -189,9 +208,15 @@ class Diagram:
                     )
             elif kind.arity < 0:
                 problems.append(f"vertex {vid} has negative arity")
-            for k in range(port_count(kind)):
-                if (vid, k) not in seen:
-                    problems.append(f"dangling port ({vid}, {k})")
+            free = port_count(kind) - wired.get(vid, 0)
+            if free > _DANGLING_LISTED:
+                problems.append(f"vertex {vid} has {free} dangling ports")
+            elif free > 0:
+                problems.extend(
+                    f"dangling port ({vid}, {k})"
+                    for k in range(port_count(kind))
+                    if (vid, k) not in seen
+                )
         for dir_ in self.boundary:
             if dir_ not in ("in", "out"):
                 problems.append(f"boundary direction {dir_!r} is not 'in' or 'out'")

@@ -7,11 +7,16 @@ pairs of port references (``[vertexId, portIndex]`` or
 optional ``circles`` count (omitted when zero).  Kind "W" is the Black
 vertex and "Z" the White one, matching the term syntax.  Round trips are
 bit-exact: parsing a serialized diagram reproduces it field for field.
+
+``diagram_to_json`` and ``rule_to_json`` write straight from the objects, one
+``%``-template per record, byte for byte what ``dumps`` (keys sorted, two-space
+indent) gives on ``diagram_to_obj``/``rule_to_obj``, the tested reference.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .diagram import BOUNDARY, Black, Crossing, Diagram, Port, White
@@ -20,6 +25,8 @@ from .normalform import NFTerm, NormalForm, RewriteTrace, TraceStep
 from .rules import Rule
 
 # -- diagrams ------------------------------------------------------------------
+
+_OWNER = {BOUNDARY: '"boundary"'}  # how the writer spells a boundary port's owner
 
 
 def diagram_to_obj(g: Diagram) -> dict[str, Any]:
@@ -120,7 +127,33 @@ def diagram_from_obj(obj: Any) -> Diagram:
 
 
 def diagram_to_json(g: Diagram) -> str:
-    return dumps(diagram_to_obj(g))
+    return _diagram_text(g, 0) + "\n"
+
+
+def _diagram_text(g: Diagram, depth: int) -> str:
+    """``dumps(diagram_to_obj(g))`` less its final newline, nested ``depth`` levels deep."""
+    n0, n1, n2, n3, n4, n5 = ("\n" + "  " * (depth + k) for k in range(6))
+    pair, port = f"{n4}[{n5}%d,{n5}%d{n4}]", f"{n3}[{n4}%s,{n4}%d{n3}]"
+    vertex = f'{n2}{{{n3}"arity": %d,{n3}"id": %d,{n3}"kind": "%s"{n2}}}'
+    crossing = f'{n2}{{{n3}"id": %d,{n3}"kind": "X",{n3}"strands": [{pair},{pair}{n3}]{n2}}}'
+    edge, boundary = f"{n2}[{port},{port}{n2}]", f'{n2}{{{n3}"dir": %s{n2}}}'
+    vertices = [
+        crossing % (vid, *kind.strands[0], *kind.strands[1]) if isinstance(kind, Crossing)
+        else vertex % (kind.arity, vid, "W" if isinstance(kind, Black) else "Z")
+        for vid, kind in sorted(g.vertices.items())
+    ]
+    edges = [edge % (_OWNER.get(p, p), i, _OWNER.get(q, q), j) for (p, i), (q, j) in g.edges]
+    dirs = [boundary % encode_basestring_ascii(d) for d in g.boundary]
+    circles = f'{n1}"circles": {g.circles:d},' if g.circles else ""
+    return (
+        f'{{{n1}"boundary": {_items(dirs, n1)},{circles}{n1}"edges": {_items(edges, n1)},'
+        f'{n1}"vertices": {_items(vertices, n1)}{n0}}}'
+    )
+
+
+def _items(items: list[str], close: str) -> str:
+    """A JSON list of pre-written items, closed on the line break ``close``."""
+    return f"[{','.join(items)}{close}]" if items else "[]"
 
 
 def diagram_from_json(text: str) -> Diagram:
@@ -153,13 +186,13 @@ def nf_to_obj(nf: NormalForm) -> dict[str, Any]:
 
 
 def nf_from_obj(obj: Any) -> NormalForm:
-    if not isinstance(obj, dict) or "legs" not in obj:
-        raise DiagramError("normal-form document must be an object with legs")
+    if not isinstance(obj, dict) or type(obj.get("legs")) is not int or obj["legs"] < 0:
+        raise DiagramError("normal-form document must be an object with integer legs >= 0")
     try:
-        terms = tuple(
-            NFTerm(int(t["p"]), int(t["m"]), str(t["b"])) for t in obj.get("terms", ())
-        )
-        return NormalForm(int(obj["legs"]), terms)
+        terms = tuple(NFTerm(t["p"], t["m"], t["b"]) for t in _list(obj, "terms"))
+        if not all(type(p) is int and type(m) is int and type(b) is str for p, m, b in terms):
+            raise DiagramError(f"bad normal-form terms {terms!r}: need int p and m, str b")
+        return NormalForm(obj["legs"], terms)
     except (TypeError, KeyError, ValueError) as err:
         raise DiagramError(f"bad normal-form document: {err}") from err
 
@@ -187,23 +220,30 @@ def rule_to_obj(rule: Rule) -> dict[str, Any]:
 
 
 def rule_from_obj(obj: Any) -> Rule:
-    if not isinstance(obj, dict):
-        raise DiagramError("rule document must be a JSON object")
+    if not isinstance(obj, dict) or "boundaryMap" not in obj:
+        raise DiagramError("rule document must be a JSON object with a boundaryMap")
+    name, derived = obj.get("name"), obj.get("derived", False)
+    maps = (_list(obj, "boundaryMap"), _list(obj, "params"))
+    if type(name) is not str or type(derived) is not bool or not all(
+        type(i) is int for i in maps[0] + maps[1]
+    ):
+        raise DiagramError(f"bad rule document: name {name!r}, derived {derived!r}, maps {maps!r}")
+    lhs, rhs = diagram_from_obj(obj.get("lhs")), diagram_from_obj(obj.get("rhs"))
     try:
-        return Rule(
-            name=str(obj["name"]),
-            lhs=diagram_from_obj(obj["lhs"]),
-            rhs=diagram_from_obj(obj["rhs"]),
-            boundary_map=tuple(int(i) for i in obj["boundaryMap"]),
-            params=tuple(int(i) for i in obj.get("params", ())),
-            derived=bool(obj.get("derived", False)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+        return Rule(name, lhs, rhs, tuple(maps[0]), tuple(maps[1]), derived)
+    except ValueError as err:
         raise DiagramError(f"bad rule document: {err}") from err
 
 
 def rule_to_json(rule: Rule) -> str:
-    return dumps(rule_to_obj(rule))
+    """``dumps(rule_to_obj(rule))``, its ``lhs`` and ``rhs`` written by ``_diagram_text``."""
+    n1, n2 = "\n  ", "\n    "
+    bmap, params = ([f"{n2}{i:d}" for i in seq] for seq in (rule.boundary_map, rule.params))
+    return (
+        f'{{{n1}"boundaryMap": {_items(bmap, n1)},{n1}"derived": {json.dumps(rule.derived)},'
+        f'{n1}"lhs": {_diagram_text(rule.lhs, 1)},{n1}"name": {encode_basestring_ascii(rule.name)},'
+        f'{n1}"params": {_items(params, n1)},{n1}"rhs": {_diagram_text(rule.rhs, 1)}\n}}\n'
+    )
 
 
 def rule_from_json(text: str) -> Rule:

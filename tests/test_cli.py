@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,14 @@ class TestExitCodes:
         code, out, err = run(capsys, command, str(path), *extra)
         assert code == 2
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_huge_arity_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices": [{"id": 0, "kind": "W", "arity": 1000000000}]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", str(path), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and "dangling" in err
 
     def test_bad_modulus(self, capsys, tmp_path):
         for command, content in (("eval", "id"), ("nf-of-tensor", "01 -2\n10 1\n")):

@@ -27,7 +27,7 @@ from zwcalc.diagram import (
 )
 from zwcalc.errors import DiagramError
 from zwcalc.fuzz import random_diagram
-from zwcalc.jsonio import diagram_to_json
+from zwcalc.jsonio import diagram_from_json, diagram_to_json
 from zwcalc.term import from_term, parse_term
 
 
@@ -95,6 +95,19 @@ class TestValidate:
             {BOUNDARY: Black(1), 0: Black(1)}, (((BOUNDARY, 0), (0, 0)),), ("out",)
         )
         assert any("reserved for the boundary" in p for p in validate(g))
+
+    def test_many_dangling_ports_are_summarised(self):
+        g = Diagram({0: Black(17), 1: White(18)}, (((0, 3), (1, 0)),), ())
+        assert validate(g) == [
+            *(f"dangling port (0, {k})" for k in range(17) if k != 3),
+            "vertex 1 has 17 dangling ports",
+        ]
+
+    def test_huge_arity_is_rejected_in_time_linear_in_edges(self):
+        start = time.perf_counter()
+        with pytest.raises(DiagramError, match="dangling"):
+            diagram_from_json('{"vertices": [{"id": 0, "kind": "W", "arity": 1000000000}]}')
+        assert time.perf_counter() - start < 1.0
 
     def test_clean_diagrams_report_nothing(self):
         for g in (wire(), circle(), b2_chain(), crossing_state()):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import circle, diagrams, self_crossed_wire, tensors, triangle, wire
-from zwcalc.diagram import Black, Crossing, White
+from zwcalc.diagram import BOUNDARY, Black, Crossing, Diagram, White
 from zwcalc.errors import DiagramError
+from zwcalc.fuzz import random_diagram
 from zwcalc.jsonio import (
     diagram_from_json,
     diagram_from_obj,
@@ -20,12 +23,37 @@ from zwcalc.jsonio import (
     nf_to_json,
     rule_from_json,
     rule_to_json,
+    rule_to_obj,
     trace_from_lines,
     trace_to_lines,
 )
 from zwcalc.normalform import nf_of_tensor, normalize
 from zwcalc.render import render_dot
-from zwcalc.rules import catalog
+from zwcalc.rules import Rule, catalog
+
+
+def writer_edge_cases() -> list[Diagram]:
+    """Shapes the seeded diagrams rarely or never produce, each with 0, 1 and
+    a very large circle count."""
+    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    crossings = {1000 + 11 * i: Crossing(s) for i, s in enumerate(pairings)}
+    crossing_edges = tuple(
+        ((vid, k), (BOUNDARY, 4 * i + k)) for i, vid in enumerate(crossings) for k in range(4)
+    )
+    wide = {7: Black(150), 98765: White(120), 12: White(0)}
+    wide_edges = (((7, 149), (98765, 101)), ((BOUNDARY, 0), (7, 10)), ((98765, 0), (7, 0)))
+    shapes = [
+        Diagram({}, (), ()),
+        Diagram({}, (), ("in", "out", "out")),
+        Diagram(
+            {},
+            (((BOUNDARY, 0), (BOUNDARY, 3)), ((BOUNDARY, 2), (BOUNDARY, 1))),
+            ("in", "in", "out", "out"),
+        ),
+        Diagram(crossings, crossing_edges, ("out",) * 12),
+        Diagram(wide, wide_edges, ("in",)),
+    ]
+    return [dataclasses.replace(g, circles=c) for g in shapes for c in (0, 1, 3**70)]
 
 
 class TestDiagramDocuments:
@@ -103,6 +131,31 @@ class TestDiagramDocuments:
         assert text.index('"boundary"') < text.index('"edges"') < text.index('"vertices"')
 
 
+class TestWriter:
+    """``diagram_to_json`` and ``rule_to_json`` write byte for byte what
+    ``dumps`` gives on the object forms."""
+
+    def test_seeded_diagrams_and_their_normal_forms(self):
+        for i in range(2000):
+            g = random_diagram(random.Random(f"writer:{i}"))
+            for h in (g, normalize(g)[0]):
+                assert diagram_to_json(h) == dumps(diagram_to_obj(h)), i
+
+    @pytest.mark.parametrize("g", writer_edge_cases())
+    def test_edge_cases(self, g):
+        assert diagram_to_json(g) == dumps(diagram_to_obj(g))
+
+    def test_every_catalog_rule(self, rules_by_name):
+        for rule in rules_by_name.values():
+            assert rule_to_json(rule) == dumps(rule_to_obj(rule)), rule.name
+
+    @pytest.mark.parametrize("g", writer_edge_cases())
+    def test_rules_over_the_edge_cases(self, g):
+        n = len(g.boundary)
+        rule = Rule("x\u00e9\"y", g, g, tuple(reversed(range(n))), (10, 0, 3), derived=True)
+        assert rule_to_json(rule) == dumps(rule_to_obj(rule))
+
+
 class TestNormalFormDocuments:
     @given(psi=tensors())
     @settings(max_examples=100)
@@ -118,6 +171,22 @@ class TestNormalFormDocuments:
         with pytest.raises(DiagramError):
             nf_from_json('{"legs": 1, "terms": [{"p": 3, "m": 1, "b": "0"}]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"legs": true, "terms": [{"p": 0, "m": 1, "b": "1"}]}',
+            '{"legs": 1, "terms": [{"p": 1.9, "m": 1, "b": "1"}]}',
+            '{"legs": 1, "terms": [{"p": 0, "m": "2", "b": "1"}]}',
+            '{"legs": 1, "terms": [{"p": 0, "m": 1, "b": 1}]}',
+            '{"legs": 1, "terms": [{"p": false, "m": 1, "b": "1"}]}',
+            '{"legs": -1}',
+            '{"legs": 1, "terms": {"p": 0}}',
+        ],
+    )
+    def test_fields_are_read_strictly(self, text):
+        with pytest.raises(DiagramError):
+            nf_from_json(text)
+
 
 class TestRuleDocuments:
     def test_every_catalog_rule_round_trips(self, rules_by_name):
@@ -132,6 +201,25 @@ class TestRuleDocuments:
         broken["boundaryMap"] = broken["boundaryMap"][:-1] + ["x"]
         with pytest.raises(DiagramError):
             rule_from_json(dumps(broken))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("derived", "no"),
+            ("derived", 0),
+            ("name", 7),
+            ("boundaryMap", [0, 1, True]),
+            ("boundaryMap", [0.0, 1, 2]),
+            ("boundaryMap", "012"),
+            ("params", ["1"]),
+        ],
+    )
+    def test_fields_are_read_strictly(self, field, value):
+        obj = json.loads(rule_to_json(catalog(2)[0]))
+        assert obj["boundaryMap"] == [0, 1, 2]
+        obj[field] = value
+        with pytest.raises(DiagramError):
+            rule_from_json(dumps(obj))
 
 
 class TestTraceDocuments:
