@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DiagramError
 
@@ -109,6 +109,22 @@ def _sorted_edge(p: Port, q: Port) -> Edge:
     return (p, q) if p <= q else (q, p)
 
 
+class _KindIndex(NamedTuple):
+    """A diagram's vertices by kind, and the kind features any pattern
+    embedded in it must have.
+
+    ``by_kind`` lists the vertex ids of each kind key (see ``_kind_key``) in
+    ascending order.  ``features`` holds ``(key, k)`` for k = 1 up to the
+    number of vertices of that kind, and ``(a, b)`` and ``(b, a)`` for each
+    edge between a vertex of kind key a and one of kind key b.  An embedding
+    is injective and keeps kinds and edges, so a pattern whose features are
+    not all among a host's has no embedding in it.
+    """
+
+    by_kind: dict[tuple[type, int], tuple[int, ...]]
+    features: frozenset
+
+
 @dataclass(frozen=True)
 class Diagram:
     """An undirected open port-graph.
@@ -150,16 +166,26 @@ class Diagram:
         return any(isinstance(k, Crossing) for k in self.vertices.values())
 
     @cached_property
-    def _by_kind(self) -> dict[tuple[type, int], tuple[int, ...]]:
-        """Vertex ids per kind key (see ``_kind_key``), each in ascending order.
+    def _index(self) -> _KindIndex:
+        """The matcher's index of this diagram, built on first use.
 
-        Built on first use and kept on the instance; it is not a field, so
-        it takes no part in equality, ``repr`` or serialisation.
+        The diagram is validated first, once, and a malformed one raises
+        ``DiagramError``.  The index is kept on the instance; it is not a
+        field, so it takes no part in equality, ``repr`` or serialisation.
         """
-        index: dict[tuple[type, int], list[int]] = {}
-        for vid in sorted(self.vertices):
-            index.setdefault(_kind_key(self.vertices[vid]), []).append(vid)
-        return {key: tuple(vids) for key, vids in index.items()}
+        problems = self.validate()
+        if problems:
+            raise DiagramError(f"malformed diagram: {problems[0]}")
+        keys = {vid: _kind_key(kind) for vid, kind in self.vertices.items()}
+        by_kind: dict[tuple[type, int], list[int]] = {}
+        for vid in sorted(keys):
+            by_kind.setdefault(keys[vid], []).append(vid)
+        features: set = {(key, k) for key, vids in by_kind.items() for k in range(1, len(vids) + 1)}
+        for (u, _), (v, _) in self.edges:
+            if u != BOUNDARY and v != BOUNDARY:
+                features.add((keys[u], keys[v]))
+                features.add((keys[v], keys[u]))
+        return _KindIndex({key: tuple(vids) for key, vids in by_kind.items()}, frozenset(features))
 
     # -- validation ---------------------------------------------------------
 

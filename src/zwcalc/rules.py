@@ -15,7 +15,6 @@ same tensor.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -312,10 +311,6 @@ def catalog(max_arity: int = DEFAULT_MAX_ARITY, extensions: int | None = None) -
 # -- matching ------------------------------------------------------------------
 
 
-def _kind_compatible(a: VertexKind, b: VertexKind) -> bool:
-    return _kind_key(a) == _kind_key(b)
-
-
 @dataclass(frozen=True)
 class _Plan:
     """A rule's lhs compiled for the search, once per ``Rule``.
@@ -323,13 +318,12 @@ class _Plan:
     ``steps`` holds the lhs vertices reachable from the smallest id, in
     breadth-first order, each as (vertex id, kind, the earlier port it is
     reached by or None for the first, its edges back to itself or earlier
-    vertices, its internal (non-leg) port indices).  ``leg_ports[i]`` is the
-    lhs port on leg ``i``, and ``needs`` counts the lhs vertices per kind key.
+    vertices, its internal (non-leg) port indices), and ``leg_ports[i]`` is
+    the lhs port on leg ``i``.
     """
 
     steps: tuple[tuple[int, VertexKind, Port | None, tuple[Edge, ...], tuple[int, ...]], ...]
     leg_ports: tuple[Port, ...]
-    needs: tuple[tuple[tuple[type, int], int], ...]
 
 
 def _compile(lhs: Diagram) -> _Plan:
@@ -348,11 +342,9 @@ def _compile(lhs: Diagram) -> _Plan:
         back = tuple((p, partner[p]) for p in inner if partner[p][0] in order[: i + 1])
         anchor = next((q for _, q in back if q[0] != vid), None)
         steps.append((vid, lhs.vertices[vid], anchor, back, tuple(k for _, k in inner)))
-    needs = Counter(_kind_key(kind) for kind in lhs.vertices.values())
     return _Plan(
         tuple(steps),
         tuple(partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))),
-        tuple(needs.items()),
     )
 
 
@@ -406,13 +398,14 @@ def _embeddings(plan: _Plan, host: Diagram) -> list[Match]:
                 found[key] = Match(key[0], tuple(sorted(pmap.items())), key[1])
             return
         vid, kind, anchor, back, internal = plan.steps[i]
+        key = _kind_key(kind)
         if anchor is None:
-            candidates = host._by_kind.get(_kind_key(kind), ())
+            candidates = host._index.by_kind.get(key, ())
         else:
             candidates = [host_partner.get(pmap[anchor], (BOUNDARY, 0))[0]]
         for uid in candidates:
             host_kind = host.vertices.get(uid)
-            if host_kind is None or uid in vmap.values() or not _kind_compatible(kind, host_kind):
+            if host_kind is None or uid in vmap.values() or _kind_key(host_kind) != key:
                 continue
             vmap[vid] = uid
             for perm in _port_bijections(kind, host_kind, internal):
@@ -437,9 +430,11 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
     lhs.  Each orbit is returned once, as its smallest (vertices, legs) member,
     sorted by that key.
 
-    The lhs is compiled into a search plan once per ``Rule``, and a host with
-    fewer vertices of some kind than the lhs has is rejected before any
-    search, from an index of its vertices by kind built once per host.
+    The lhs is compiled into a search plan once per ``Rule``, and each host
+    is validated and indexed once (``Diagram._index``); a malformed host
+    raises ``DiagramError``.  Before any search, a host is rejected unless it
+    has every kind feature of the lhs: at least as many vertices of each kind,
+    and an edge between each pair of kinds that an lhs edge joins.
     """
     lhs = rule.lhs
     if not lhs.vertices:
@@ -452,8 +447,7 @@ def find_matches(rule: Rule, host: Diagram) -> list[Match]:
     plan = rule._plan
     if len(plan.steps) != len(lhs.vertices):
         raise MatchScopeError(f"rule {rule.name}: lhs is not connected")
-    by_kind = host._by_kind
-    if any(len(by_kind.get(key, ())) < count for key, count in plan.needs):
+    if not lhs._index.features <= host._index.features:
         return []
 
     symmetries = rule._symmetries
@@ -491,7 +485,7 @@ def _check_match(rule: Rule, host: Diagram, match: Match) -> None:
     for vid, uid in vmap.items():
         if uid not in host.vertices:
             raise InvalidMatchError(f"host vertex {uid} does not exist")
-        if not _kind_compatible(lhs.vertices[vid], host.vertices[uid]):
+        if _kind_key(lhs.vertices[vid]) != _kind_key(host.vertices[uid]):
             raise InvalidMatchError(f"vertex kinds differ at {vid} -> {uid}")
     pmap = dict(match.ports)
     for vid, kind in lhs.vertices.items():
@@ -520,7 +514,13 @@ def _check_match(rule: Rule, host: Diagram, match: Match) -> None:
 
 
 def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
-    """Excise the matched lhs image and glue in the rhs."""
+    """Excise the matched lhs image and glue in the rhs.
+
+    A malformed host raises ``DiagramError``.  Host edges with no excised end
+    are copied as they are; only the wires at the rule boundary and the rhs
+    edges are resolved, so the wiring work follows the match, not the host.
+    """
+    host._index  # validates the host once, raising DiagramError if malformed
     _check_match(rule, host, match)
     lhs = rule.lhs
     vmap = dict(match.vertices)
@@ -535,11 +535,12 @@ def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
     def marker(lhs_leg: int) -> tuple:
         return ("rule-boundary", bmap[lhs_leg])
 
+    edges: list[Edge] = []
     segments: list[tuple] = []
     junctions = {("rule-boundary", j) for j in range(len(rule.rhs.boundary))}
     for p, q in host.edges:
-        p_in = p[0] != BOUNDARY and p[0] in excised
-        q_in = q[0] != BOUNDARY and q[0] in excised
+        p_in = p[0] in excised
+        q_in = q[0] in excised
         if p_in and q_in:
             lp, lq = inverse[p], inverse[q]
             if lhs_partner[lp] == lq:
@@ -554,7 +555,7 @@ def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
                 raise InvalidMatchError(f"host edge {p} -- {q} contradicts the lhs wiring")
             segments.append((marker(leg_at[lp]), outer))
         else:
-            segments.append((p, q))
+            edges.append((p, q))
 
     offset = max(host.vertices, default=-1) + 1
     vertices = {vid: kind for vid, kind in host.vertices.items() if vid not in excised}
@@ -570,6 +571,6 @@ def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
         segments.append((rhs_point(p), rhs_point(q)))
 
     wires, extra = _resolve_wires(segments, junctions)
-    edges = tuple((p, q) for p, q in wires)
+    edges.extend(wires)
     circles = host.circles + rule.rhs.circles + extra
-    return Diagram(vertices, edges, host.boundary, circles)
+    return Diagram(vertices, tuple(edges), host.boundary, circles)

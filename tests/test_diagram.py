@@ -139,13 +139,23 @@ class TestKindIndex:
             tuple(((0, k), (1, k)) for k in range(4)) + (((2, 0), (3, 0)), ((2, 1), (3, 1))),
             (),
         )
-        assert g._by_kind == {(Crossing, 4): (0, 1), (Black, 2): (2,), (White, 2): (3,)}
+        assert g._index.by_kind == {(Crossing, 4): (0, 1), (Black, 2): (2,), (White, 2): (3,)}
+
+    def test_features_are_kind_counts_and_joined_kind_pairs(self):
+        g = Diagram(
+            {0: Crossing(), 1: Crossing(), 2: Black(2), 3: White(3)},
+            tuple(((0, k), (1, k)) for k in range(4))
+            + (((2, 0), (3, 0)), ((2, 1), (3, 1)), ((3, 2), (BOUNDARY, 0))),
+            ("out",),
+        )
+        x, b, w = (Crossing, 4), (Black, 2), (White, 3)
+        assert g._index.features == {(x, 1), (x, 2), (b, 1), (w, 1), (x, x), (b, w), (w, b)}
 
     @given(diagrams("index", max_vertices=10))
     def test_index_leaves_equality_and_json_unchanged(self, g):
         twin = Diagram(dict(g.vertices), g.edges, g.boundary, g.circles)
         text = diagram_to_json(g)
-        assert g._by_kind is g._by_kind
+        assert g._index is g._index
         assert g == twin and twin == g
         assert repr(g) == repr(twin)
         assert diagram_to_json(g) == text == diagram_to_json(twin)

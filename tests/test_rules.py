@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import b2_chain, crossing_state, swap_state, wire
 from oracle import oracle_embeddings, oracle_orbit_keys
 from zwcalc.diagram import (
+    BOUNDARY,
     Black,
     Crossing,
     Diagram,
@@ -22,9 +24,18 @@ from zwcalc.diagram import (
     plug,
     validate,
 )
-from zwcalc.errors import InvalidMatchError, MatchScopeError
+import zwcalc.rules
+from zwcalc.errors import DiagramError, InvalidMatchError, MatchScopeError
 from zwcalc.fuzz import random_diagram
-from zwcalc.rules import Rule, apply, catalog, find_matches, verify_soundness
+from zwcalc.jsonio import diagram_to_json
+from zwcalc.rules import (
+    MATCHER_VERTEX_LIMIT,
+    Rule,
+    apply,
+    catalog,
+    find_matches,
+    verify_soundness,
+)
 from zwcalc.tensor import (
     INTEGERS,
     IntegersMod,
@@ -88,6 +99,13 @@ CATALOG_DIGESTS = {
     "tr_Z": "a637ccf3409e4d1548a475b0b2f733eec76f00666ed4a3e10349927dc1d069f8",
     "or": "7963802f235bdb1d9fcac1418cb2e0d1c0b7e568f43e427686ea40ef0f4a62ca",
 }
+
+# sha256 over repr(find_matches(rule, host)), then diagram_to_json(apply(rule,
+# host, m)) for each match m, for 50 hosts random_diagram(Random(f"pin:{i}"),
+# 14, 4, 4) in turn, each with the 132 catalog(4) rules within the matcher's
+# vertex limit in catalog order; recorded before the kind-feature reject and
+# before apply stopped resolving the wires a match does not touch.
+REWRITE_DIGEST = "cd72d565f6da2fdd040322e6d560925f0d1076d1efd5d6b3dd35f16badf31d89"
 
 
 class TestCatalog:
@@ -261,7 +279,7 @@ class TestFindMatches:
             find_matches(_disconnected_rule(), b2_chain())
 
     def test_scope_is_checked_before_the_kind_counts(self, rules_by_name):
-        # The empty host lacks every kind the lhs needs, so a kind-count
+        # The empty host lacks every kind the lhs needs, so a kind-feature
         # rejection ahead of the scope checks would return [] instead.
         empty = Diagram({}, (), ())
         for rule in (rules_by_name["ba_W(4,4)"], _vertexless_rule(), _disconnected_rule()):
@@ -330,6 +348,73 @@ class TestFindMatches:
             assert oracle_orbit_keys(rule.lhs, back) == oracle_orbit_keys(rule.lhs, plain), name
             assert len(back) == len(plain), name
 
+    def test_malformed_hosts_raise(self, rules_by_name):
+        rule = rules_by_name["0b"]
+        loop_and_link = (((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 2), (BOUNDARY, 0)))
+        good = Diagram(
+            {0: White(3), 1: White(3)}, loop_and_link + (((1, 1), (BOUNDARY, 1)),), ("out",) * 2
+        )
+        matches = find_matches(rule, good)
+        assert len(matches) == 2
+        unknown = Diagram(
+            {0: White(3), 1: White(3)}, loop_and_link + (((1, 1), (99, 0)),), ("out",)
+        )
+        dangling = Diagram({0: White(3), 1: White(3)}, loop_and_link, ("out",))
+        for host, fault in ((unknown, "unknown vertex 99"), (dangling, "dangling port (1, 1)")):
+            with pytest.raises(DiagramError, match=re.escape(fault)):
+                find_matches(rule, host)
+            with pytest.raises(DiagramError, match=re.escape(fault)):
+                apply(rule, host, matches[0])
+
+
+def _matchable(rules_by_name: dict[str, Rule]) -> list[Rule]:
+    """The catalog(4) rules within the matcher's vertex limit, in catalog order."""
+    return [r for r in rules_by_name.values() if len(r.lhs.vertices) <= MATCHER_VERTEX_LIMIT]
+
+
+@pytest.fixture
+def searched(rules_by_name, monkeypatch):
+    """The hosts that ``find_matches`` searches from here on, one per search."""
+    for rule in _matchable(rules_by_name):
+        rule._symmetries  # searches the lhs in itself once, before the spy
+    hosts = []
+    search = zwcalc.rules._embeddings
+
+    def spy(plan, host):
+        hosts.append(host)
+        return search(plan, host)
+
+    monkeypatch.setattr(zwcalc.rules, "_embeddings", spy)
+    return hosts
+
+
+class TestFeatureReject:
+    def test_rejected_hosts_have_no_embedding(self, rules_by_name, searched):
+        # Every pair that find_matches turns away without a search is checked
+        # against the brute-force enumerator, on hosts small enough that
+        # many rules do match.
+        rejected = kept = 0
+        for i in range(200):
+            host = random_diagram(random.Random(f"reject:{i}"), 6, 4, 4)
+            for rule in _matchable(rules_by_name):
+                searched.clear()
+                find_matches(rule, host)
+                if searched:
+                    kept += 1
+                else:
+                    rejected += 1
+                    assert not oracle_embeddings(rule.lhs, host), (i, rule.name)
+        assert rejected > 0 and kept > 0
+
+    def test_edge_features_prune_the_search(self, rules_by_name, searched):
+        # On these 6600 pairs the search runs 205 times; with kind counts
+        # alone it would run 618 times.
+        for i in range(50):
+            host = random_diagram(random.Random(f"spy:{i}"), 14, 4, 4)
+            for rule in _matchable(rules_by_name):
+                find_matches(rule, host)
+        assert len(searched) <= 205
+
 
 class TestApply:
     def test_involution_cancels_to_a_wire(self, rules_by_name):
@@ -378,6 +463,19 @@ class TestApply:
         other = Diagram({0: White(2), 1: White(2)}, b2_chain().edges, ("in", "out"))
         with pytest.raises(InvalidMatchError):
             apply(rules_by_name["2a"], other, match)
+
+    def test_rewrites_match_their_pinned_digest(self, rules_by_name):
+        rules = _matchable(rules_by_name)
+        assert len(rules) == 132
+        digest = hashlib.sha256()
+        for i in range(50):
+            host = random_diagram(random.Random(f"pin:{i}"), 14, 4, 4)
+            for rule in rules:
+                matches = find_matches(rule, host)
+                digest.update(repr(matches).encode())
+                for match in matches:
+                    digest.update(diagram_to_json(apply(rule, host, match)).encode())
+        assert digest.hexdigest() == REWRITE_DIGEST
 
     def test_two_hundred_random_triples_preserve_eval(self, rules_by_name):
         # Graft each rule's own lhs onto a random diagram so that a match is
