@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DiagramError
 
@@ -264,65 +264,68 @@ def validate(g: Diagram) -> list[str]:
 # -- wiring resolution -------------------------------------------------------
 
 
-def _resolve_wires(
-    segments: Iterable[tuple[object, object]],
-    junctions: set,
-) -> tuple[list[tuple[object, object]], int]:
-    """Collapse wire chains passing through junction points.
+def _link(inner: list, across: list) -> tuple[list[Edge], int]:
+    """Join wire pieces that meet at wire ends into edges.
 
-    ``segments`` are wire pieces between arbitrary hashable points; the points
-    in ``junctions`` are interior (being fused away) and must each touch one
-    or two segments.  Returns the list of surviving wires, each joining two
-    non-junction points, and the number of closed loops that ran entirely
-    through junctions.
+    The wire ends are the integers ``0 .. len(inner) - 1``.  End ``e`` is
+    attached to ``inner[e]`` on one side and to ``across[e]`` on the other:
+    each is another wire end, a port, or None for nothing.  Links between
+    ends are mutual and stay on one side: ``inner[e] == f`` iff
+    ``inner[f] == e``, and likewise for ``across``.  So a wire runs from a
+    port through ends, alternating sides, to a port, and ends whose both
+    sides are ends form closed circles.  Returns the edges between the
+    ports and the number of circles; a wire that reaches None raises
+    ``DiagramError``.
     """
-    adjacency: dict[object, list[int]] = {}
-    seg_list = list(segments)
-    for i, (p, q) in enumerate(seg_list):
-        adjacency.setdefault(p, []).append(i)
-        adjacency.setdefault(q, []).append(i)
-    for point in junctions:
-        degree = len(adjacency.get(point, []))
-        if degree == 1:
-            raise DiagramError(f"wire chain dead-ends at fused point {point}")
-        if degree > 2:
-            raise DiagramError(f"fused point {point} touches {degree} wires")
-
-    used = [False] * len(seg_list)
-    wires: list[tuple[object, object]] = []
-    for start in [point for point in adjacency if point not in junctions]:
-        for seg in adjacency[start]:
-            if used[seg]:
-                continue
-            used[seg] = True
-            p, q = seg_list[seg]
-            current = q if p == start else p
-            while current in junctions:
-                nxt = [s for s in adjacency[current] if not used[s]]
-                if not nxt:
-                    raise DiagramError(f"wire chain dead-ends at fused point {current}")
-                used[nxt[0]] = True
-                p, q = seg_list[nxt[0]]
-                current = q if p == current else p
-            wires.append((start, current))
-    # Whatever remains is a set of cycles running only through junctions.
-    circles = 0
-    for i, (p, q) in enumerate(seg_list):
-        if used[i]:
+    seen = [False] * len(inner)
+    edges: list[Edge] = []
+    for e in range(len(inner)):
+        if seen[e]:
             continue
-        used[i] = True
-        current = q
-        while current != p:
-            nxt = [s for s in adjacency[current] if not used[s]]
-            used[nxt[0]] = True
-            a, b = seg_list[nxt[0]]
-            current = b if a == current else a
-        circles += 1
-    # Non-junction points touch at most one segment, so each surviving wire
-    # was traced exactly once (from whichever open end came first).
-    if not all(used):
-        raise DiagramError("inconsistent wiring resolution")
-    return wires, circles
+        start, links = inner[e], across
+        if type(start) is int:
+            start, links = across[e], inner
+            if type(start) is int:
+                continue  # inside a wire, or on a circle
+        seen[e] = True
+        end = links[e]
+        while type(end) is int:
+            seen[end] = True
+            links = inner if links is across else across
+            end = links[end]
+        if start is None or end is None:
+            raise DiagramError("wire chain dead-ends at a fused leg")
+        edges.append((start, end))
+    circles = 0
+    for e in range(len(inner)):
+        if not seen[e]:
+            circles += 1
+            f, links = e, inner
+            while not seen[f]:
+                seen[f] = True
+                f = links[f]
+                links = across if links is inner else inner
+    return edges, circles
+
+
+def _split_edges(d: Diagram, legs: dict, shift: int, inner: list, edges: list[Edge]) -> None:
+    """Hand ``d``'s edges to ``_link``, its vertex ids shifted by ``shift``.
+
+    ``legs`` maps each boundary leg to a wire end or to a port.  An edge at
+    a wire end is that end's ``inner`` side; any other edge goes to ``edges``.
+    """
+    for (u, i), (v, k) in d.edges:
+        p = legs.get(i) if u == BOUNDARY else (u + shift, i)
+        q = legs.get(k) if v == BOUNDARY else (v + shift, k)
+        if p is None or q is None:
+            raise DiagramError(f"edge {((u, i), (v, k))} references an unknown boundary leg")
+        if type(p) is not int and type(q) is not int:
+            edges.append((p, q))
+        for end, other in ((p, q), (q, p)):
+            if type(end) is int:
+                if inner[end] is not None:
+                    raise DiagramError("a fused leg touches more than one wire")
+                inner[end] = other
 
 
 # -- structural operations ---------------------------------------------------
@@ -355,43 +358,27 @@ def plug(
     for vid, kind in h.vertices.items():
         vertices[vid + offset] = kind
 
-    def g_point(p: Port) -> object:
-        return ("gb", p[1]) if p[0] == BOUNDARY else p
-
-    def h_point(p: Port) -> object:
-        return ("hb", p[1]) if p[0] == BOUNDARY else (p[0] + offset, p[1])
-
-    segments: list[tuple[object, object]] = []
-    segments.extend((g_point(p), g_point(q)) for p, q in g.edges)
-    segments.extend((h_point(p), h_point(q)) for p, q in h.edges)
-    junctions: set = set()
+    # Each paired leg is a wire end with its pair partner across from it;
+    # every other leg is a port of the new boundary.
+    legs: tuple[dict, dict] = ({}, {})  # g's and h's: leg -> wire end or port
+    across: list = []
     for i, j in pairing:
-        segments.append((("gb", i), ("hb", j)))
-        junctions.add(("gb", i))
-        junctions.add(("hb", j))
-
-    wires, circles = _resolve_wires(segments, junctions)
-
+        legs[0][i], legs[1][j] = len(across), len(across) + 1
+        across += [len(across) + 1, len(across)]
     new_boundary: list[str] = []
-    remap: dict[object, Port] = {}
-    for i, dir_ in enumerate(g.boundary):
-        if i not in g_used:
-            remap[("gb", i)] = (BOUNDARY, len(new_boundary))
-            new_boundary.append(dir_)
-    for j, dir_ in enumerate(h.boundary):
-        if j not in h_used:
-            remap[("hb", j)] = (BOUNDARY, len(new_boundary))
-            new_boundary.append(dir_)
+    for side, d in zip(legs, (g, h)):
+        for i, dir_ in enumerate(d.boundary):
+            if i not in side:
+                side[i] = (BOUNDARY, len(new_boundary))
+                new_boundary.append(dir_)
 
-    def back(point: object) -> Port:
-        if point in remap:
-            return remap[point]
-        if isinstance(point, tuple) and len(point) == 2 and isinstance(point[0], int):
-            return point  # a vertex port
-        raise DiagramError(f"unpaired dangling wire end {point}")
-
-    edges = tuple(_sorted_edge(back(p), back(q)) for p, q in wires)
-    return Diagram(vertices, edges, tuple(new_boundary), g.circles + h.circles + circles)
+    inner: list = [None] * len(across)
+    edges: list[Edge] = []
+    _split_edges(g, legs[0], 0, inner, edges)
+    _split_edges(h, legs[1], offset, inner, edges)
+    wires, circles = _link(inner, across)
+    circles += g.circles + h.circles
+    return Diagram(vertices, tuple(edges + wires), tuple(new_boundary), circles)
 
 
 def permute_boundary(g: Diagram, order: Sequence[int]) -> Diagram:

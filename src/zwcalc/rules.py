@@ -30,7 +30,8 @@ from .diagram import (
     VertexKind,
     White,
     _kind_key,
-    _resolve_wires,
+    _link,
+    _split_edges,
     port_count,
     with_boundary_dirs,
 )
@@ -71,11 +72,8 @@ class Rule:
 
     @cached_property
     def _plan(self) -> _Plan:
-        """The lhs compiled for the matcher's search (see ``_compile``).
-
-        Computed on first use by ``find_matches``, which checks first that
-        the lhs has a vertex to start from.
-        """
+        """The lhs compiled for the matcher's search and for ``apply`` (see
+        ``_compile``)."""
         return _compile(self.lhs)
 
     @cached_property
@@ -318,18 +316,19 @@ class _Plan:
     ``steps`` holds the lhs vertices reachable from the smallest id, in
     breadth-first order, each as (vertex id, kind, the earlier port it is
     reached by or None for the first, its edges back to itself or earlier
-    vertices, its internal (non-leg) port indices), and ``leg_ports[i]`` is
-    the lhs port on leg ``i``.
+    vertices, its internal (non-leg) port indices), ``leg_ports[i]`` is the
+    lhs port on leg ``i``, and ``partner`` is the lhs's ``port_partner()``.
     """
 
     steps: tuple[tuple[int, VertexKind, Port | None, tuple[Edge, ...], tuple[int, ...]], ...]
     leg_ports: tuple[Port, ...]
+    partner: dict[Port, Port]
 
 
 def _compile(lhs: Diagram) -> _Plan:
-    """The search plan of an lhs with at least one vertex."""
+    """The search plan of an lhs; it has no steps if the lhs has no vertex."""
     partner = lhs.port_partner()
-    order = [min(lhs.vertices)]
+    order = sorted(lhs.vertices)[:1]
     for vid in order:
         for k in range(port_count(lhs.vertices[vid])):
             w = partner.get((vid, k), (BOUNDARY, 0))[0]
@@ -345,6 +344,7 @@ def _compile(lhs: Diagram) -> _Plan:
     return _Plan(
         tuple(steps),
         tuple(partner[(BOUNDARY, i)] for i in range(len(lhs.boundary))),
+        partner,
     )
 
 
@@ -500,7 +500,6 @@ def _check_match(rule: Rule, host: Diagram, match: Match) -> None:
                 if len(strands) != 1:
                     raise InvalidMatchError(f"strands are not preserved at vertex {vid}")
     host_partner = host.port_partner()
-    lhs_partner = lhs.port_partner()
     for p, q in lhs.edges:
         if p[0] == BOUNDARY or q[0] == BOUNDARY:
             continue
@@ -509,7 +508,7 @@ def _check_match(rule: Rule, host: Diagram, match: Match) -> None:
     if len(match.legs) != len(lhs.boundary):
         raise InvalidMatchError("match legs do not cover the rule boundary")
     for i in range(len(lhs.boundary)):
-        if match.legs[i] != pmap[lhs_partner[(BOUNDARY, i)]]:
+        if match.legs[i] != pmap[rule._plan.leg_ports[i]]:
             raise InvalidMatchError(f"leg {i} image disagrees with the port map")
 
 
@@ -522,38 +521,30 @@ def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
     """
     host._index  # validates the host once, raising DiagramError if malformed
     _check_match(rule, host, match)
-    lhs = rule.lhs
-    vmap = dict(match.vertices)
+    plan = rule._plan
+    excised = {uid for _, uid in match.vertices}
     inverse = {hport: lport for lport, hport in match.ports}
-    lhs_partner = lhs.port_partner()
-    leg_at = {
-        lhs_partner[(BOUNDARY, i)]: i for i in range(len(lhs.boundary))
-    }
-    excised = set(vmap.values())
-    bmap = rule.boundary_map
-
-    def marker(lhs_leg: int) -> tuple:
-        return ("rule-boundary", bmap[lhs_leg])
-
+    # Rhs leg j is wire end j.  Across from it is the host wire that met the
+    # lhs leg glued to it; on its inner side is its rhs wire.
+    end_at = {port: rule.boundary_map[i] for i, port in enumerate(plan.leg_ports)}
+    across: list = [None] * len(rule.rhs.boundary)
     edges: list[Edge] = []
-    segments: list[tuple] = []
-    junctions = {("rule-boundary", j) for j in range(len(rule.rhs.boundary))}
     for p, q in host.edges:
         p_in = p[0] in excised
         q_in = q[0] in excised
         if p_in and q_in:
             lp, lq = inverse[p], inverse[q]
-            if lhs_partner[lp] == lq:
+            if plan.partner[lp] == lq:
                 continue  # the image of an lhs edge vanishes with the vertices
-            if lp not in leg_at or lq not in leg_at:
+            if lp not in end_at or lq not in end_at:
                 raise InvalidMatchError(f"host edge {p} -- {q} contradicts the lhs wiring")
-            segments.append((marker(leg_at[lp]), marker(leg_at[lq])))
+            across[end_at[lp]], across[end_at[lq]] = end_at[lq], end_at[lp]
         elif p_in or q_in:
-            inner, outer = (p, q) if p_in else (q, p)
-            lp = inverse[inner]
-            if lp not in leg_at:
+            cut, outer = (p, q) if p_in else (q, p)
+            lp = inverse[cut]
+            if lp not in end_at:
                 raise InvalidMatchError(f"host edge {p} -- {q} contradicts the lhs wiring")
-            segments.append((marker(leg_at[lp]), outer))
+            across[end_at[lp]] = outer
         else:
             edges.append((p, q))
 
@@ -561,16 +552,9 @@ def apply(rule: Rule, host: Diagram, match: Match) -> Diagram:
     vertices = {vid: kind for vid, kind in host.vertices.items() if vid not in excised}
     for rvid, kind in rule.rhs.vertices.items():
         vertices[rvid + offset] = kind
-
-    def rhs_point(port: Port) -> tuple:
-        if port[0] == BOUNDARY:
-            return ("rule-boundary", port[1])
-        return (port[0] + offset, port[1])
-
-    for p, q in rule.rhs.edges:
-        segments.append((rhs_point(p), rhs_point(q)))
-
-    wires, extra = _resolve_wires(segments, junctions)
+    inner: list = [None] * len(across)
+    _split_edges(rule.rhs, {j: j for j in range(len(across))}, offset, inner, edges)
+    wires, extra = _link(inner, across)
     edges.extend(wires)
     circles = host.circles + rule.rhs.circles + extra
     return Diagram(vertices, tuple(edges), host.boundary, circles)

@@ -7,7 +7,7 @@ Grammar (whitespace insignificant)::
     atom   := '(' term ')' | generator
     generator := 'id' | 'swap' | 'cup' | 'cap' | 'x'
                | 'w' '(' nat ',' nat ')' | 'z' '(' nat ',' nat ')'
-    nat    := [0-9]+                        ASCII digits only
+    nat    := [0-9]+                        ASCII digits, as many as int() converts
 
 ``w(n,m)`` is a Black vertex with n inputs and m outputs, ``z(n,m)`` a White
 vertex, ``x`` the fermionic crossing.  ``id``, ``swap``, ``cup`` and ``cap``
@@ -23,14 +23,15 @@ through as identities), one swap network that brings the two ends of each
 wire side by side, and one cap layer that closes them.
 
 Parentheses nest at most 100 deep.  Long runs of ``;`` or ``*`` are fine:
-:func:`from_term` and :func:`term_to_text` walk them without recursing.
+:func:`parse_term`, :func:`from_term` and :func:`term_to_text` walk them
+without recursing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .diagram import (
     BOUNDARY,
@@ -40,7 +41,7 @@ from .diagram import (
     Port,
     VertexKind,
     White,
-    _resolve_wires,
+    _link,
 )
 from .errors import DiagramError, TermSyntaxError, TermTypeError
 
@@ -234,11 +235,8 @@ def _wire_count(term: Term, inputs: bool) -> int:
 
 # -- parsing ------------------------------------------------------------------
 
-_KEYWORDS = {"id", "swap", "cup", "cap", "x", "w", "z"}
-_PUNCTUATION = frozenset("();*,")
-
-#: How deep parentheses may nest.  The parser recurses once per level, so
-#: the bound keeps it well under Python's recursion limit.
+#: Parentheses nest at most this deep, so that terms read from text stay
+#: shallow enough for code that walks them recursively.
 _MAX_NESTING = 100
 
 #: The source split into tokens and white space: a run of ASCII digits (a
@@ -247,102 +245,120 @@ _MAX_NESTING = 100
 #: other than newlines, or any other single character.
 _PIECE = re.compile(r"[0-9]+|[^\W_]+|[^\S\n]+|.", re.DOTALL)
 
+#: The kind of each piece that can be told by its text alone: punctuation
+#: and generator names are their own kinds, a single digit is a ``nat``,
+#: and a single space is no token.
+_KINDS = {text: text for text in "( ) ; * , id swap cup cap x w z".split()}
+_KINDS |= {digit: "nat" for digit in "0123456789"}
+_KINDS[" "] = ""
 
-class _Token(NamedTuple):
-    kind: str  # 'name' | 'nat' | punctuation
-    text: str
-    line: int
-    column: int
+#: The generators that take no parameters, by name.
+_SIMPLE = {"id": Id, "swap": Swap, "cup": Cup, "cap": Cap, "x": Cross}
+
+#: The generators written ``name(nat,nat)``, by name, and the kinds of the
+#: tokens after the name.
+_SPIDERS = {"w": WGen, "z": ZGen}
+_SPIDER_ARGS = ["(", "nat", ",", "nat", ")"]
+
+#: A token: (kind, text, line, column).  The last token has kind ``end``.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, column = 1, 1
     for text in _PIECE.findall(source):
-        if text in _PUNCTUATION:
-            tokens.append(_Token(text, text, line, column))
-        elif text in _KEYWORDS:
-            tokens.append(_Token("name", text, line, column))
-        elif text.isspace():
-            if text == "\n":
+        kind = _KINDS.get(text)
+        if kind:
+            tokens.append((kind, text, line, column))
+        elif kind is None:
+            if "0" <= text[0] <= "9":
+                tokens.append(("nat", text, line, column))
+            elif text == "\n":
                 line, column = line + 1, 0
-        elif "0" <= text[0] <= "9":
-            tokens.append(_Token("nat", text, line, column))
-        elif text[0].isalpha():
-            raise TermSyntaxError(f"unknown generator {text!r}", line, column)
-        else:
-            raise TermSyntaxError(f"unexpected character {text[0]!r}", line, column)
+            elif text[0].isalpha():
+                raise TermSyntaxError(f"unknown generator {text!r}", line, column)
+            elif not text.isspace():
+                raise TermSyntaxError(f"unexpected character {text[0]!r}", line, column)
         column += len(text)
-    tokens.append(_Token("end", "", line, column))
+    tokens.append(("end", "", line, column))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.index = 0
-        self.depth = 0
+def _unexpected(expected: str, token: _Token) -> TermSyntaxError:
+    _, text, line, column = token
+    return TermSyntaxError(f"expected {expected}, found {text or 'end of input'!r}", line, column)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
 
-    def take(self, kind: str) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != kind:
-            shown = token.text or "end of input"
-            raise TermSyntaxError(f"expected {kind!r}, found {shown!r}", token.line, token.column)
-        self.index += 1
-        return token
+def _check_spider(args: list[_Token]) -> None:
+    """Raise the first error in the tokens after a ``w`` or ``z``, if any."""
+    for expected, token in zip(_SPIDER_ARGS, args):
+        if token[0] != expected:
+            raise _unexpected(repr(expected), token)
+        if expected == "nat":
+            _nat(token)
 
-    def term(self) -> Term:
-        node = self.tensor()
-        while self.peek().kind == ";":
-            op = self.take(";")
-            node = Seq(op.column, node, self.tensor())
-        return node
 
-    def tensor(self) -> Term:
-        node = self.atom()
-        while self.peek().kind == "*":
-            op = self.take("*")
-            node = Par(op.column, node, self.atom())
-        return node
-
-    def atom(self) -> Term:
-        token = self.peek()
-        if token.kind == "(":
-            if self.depth == _MAX_NESTING:
-                raise TermSyntaxError(
-                    f"parentheses nest deeper than {_MAX_NESTING}", token.line, token.column
-                )
-            self.take("(")
-            self.depth += 1
-            node = self.term()
-            self.depth -= 1
-            self.take(")")
-            return node
-        if token.kind == "name":
-            self.take("name")
-            if token.text in ("w", "z"):
-                self.take("(")
-                n_in = int(self.take("nat").text)
-                self.take(",")
-                n_out = int(self.take("nat").text)
-                self.take(")")
-                cls = WGen if token.text == "w" else ZGen
-                return cls(token.column, n_in, n_out)
-            simple = {"id": Id, "swap": Swap, "cup": Cup, "cap": Cap, "x": Cross}
-            return simple[token.text](token.column)
-        shown = token.text or "end of input"
-        raise TermSyntaxError(f"expected a term, found {shown!r}", token.line, token.column)
+def _nat(token: _Token) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # more digits than Python converts
+        raise TermSyntaxError(f"number of {len(token[1])} digits is too long", *token[2:]) from None
 
 
 def parse_term(source: str) -> Term:
-    """Parse term text into an AST, raising :class:`TermSyntaxError` on failure."""
-    parser = _Parser(_tokenize(source))
-    node = parser.term()
-    parser.take("end")
-    return node
+    """Parse term text into an AST, raising :class:`TermSyntaxError` on failure.
+
+    One pass over the tokens builds the tree.  ``;`` and ``*`` runs fold to
+    the left as they are read, ``*`` binding tighter; each ``(`` saves the
+    fold in progress and its ``)`` resumes it.
+    """
+    tokens = _tokenize(source)
+    outer: list[tuple] = []  # the folds in progress outside each open '('
+    seq = tensor = None  # the ';' run and the '*' run in progress
+    seq_at = par_at = i = 0  # the columns of the last ';' and '*'
+    while True:
+        token = tokens[i]
+        kind = token[0]
+        if kind == "(":
+            if len(outer) == _MAX_NESTING:
+                raise TermSyntaxError(f"parentheses nest deeper than {_MAX_NESTING}", *token[2:])
+            outer.append((seq, seq_at, tensor, par_at))
+            seq = tensor = None
+            i += 1
+            continue
+        if kind in _SIMPLE:
+            node: Term = _SIMPLE[kind](token[3])
+            i += 1
+        elif kind in _SPIDERS:
+            args = tokens[i + 1 : i + 6]
+            if [t[0] for t in args] != _SPIDER_ARGS:
+                _check_spider(args)
+            node = _SPIDERS[kind](token[3], _nat(args[1]), _nat(args[3]))
+            i += 6
+        else:
+            raise _unexpected("a term", token)
+        while True:  # an atom is read: fold it, then close what ends here
+            tensor = node if tensor is None else Par(par_at, tensor, node)
+            token = tokens[i]
+            kind = token[0]
+            if kind == "*":
+                par_at = token[3]
+                break
+            if kind == ";":
+                seq = tensor if seq is None else Seq(seq_at, seq, tensor)
+                seq_at, tensor = token[3], None
+                break
+            node = tensor if seq is None else Seq(seq_at, seq, tensor)
+            if not outer:
+                if kind != "end":
+                    raise _unexpected("'end'", token)
+                return node
+            if kind != ")":
+                raise _unexpected("')'", token)
+            seq, seq_at, tensor, par_at = outer.pop()
+            i += 1
+        i += 1
 
 
 def term_to_text(term: Term) -> str:
@@ -375,14 +391,12 @@ def term_to_text(term: Term) -> str:
 
 # -- term to diagram ----------------------------------------------------------
 
-#: The wires of each wiring-only generator, as pairs of its leg positions
-#: (inputs first, then outputs).
-_WIRES: dict[type, tuple[tuple[int, int], ...]] = {
-    Id: ((0, 1),),
-    Swap: ((0, 3), (1, 2)),
-    Cup: ((0, 1),),
-    Cap: ((0, 1),),
-}
+#: The leg that each leg of a wiring-only generator is wired to, legs
+#: numbered inputs first, then outputs.
+_WIRES: dict[type, tuple[int, ...]] = {Id: (1, 0), Swap: (3, 2, 1, 0), Cup: (1, 0), Cap: (1, 0)}
+
+#: The vertex of every ``x``: vertex kinds are immutable values, so one serves.
+_CROSSING = Crossing()
 
 
 def from_term(term: Term) -> Diagram:
@@ -393,52 +407,56 @@ def from_term(term: Term) -> Diagram:
     :class:`TermTypeError` pointing at the offending ``;``.
 
     One walk gives every generator leg a wire end of its own (an integer),
-    numbers the vertices lower/left first, and records the wire pieces:
-    those inside each generator and one per leg joined across a ``;``.  The
-    pieces are then resolved into edges once, so the cost is linear in the
-    term's size.  The walk keeps its own stack, so long runs of ``;`` or
-    ``*`` do not recurse.
+    numbers the vertices lower/left first, and links each end to its
+    generator (a vertex port, or the leg a wiring generator joins it to) and
+    to the leg it meets across a ``;``.  ``_link`` then follows each wire
+    once, so the cost is linear in the term's size.  The walk keeps its own
+    stack, so long runs of ``;`` or ``*`` do not recurse.
     """
     vertices: dict[int, VertexKind] = {}
-    segments: list[tuple[object, object]] = []
-    count = 0
-    done: list[tuple[list[int], list[int]]] = []  # wire ends of finished subterms
-    todo: list[tuple[Term, bool]] = [(term, False)]
+    inner: list = []  # per wire end: a vertex port, or the end its generator wires it to
+    across: list = []  # per wire end: the end it meets across a ';', or its boundary port
+    done: list[tuple[list[int], list[int]]] = []  # input and output ends of finished subterms
+    todo: list = [term]  # subterms to walk, and (composite,) once both its sides are walked
     while todo:
-        node, ready = todo.pop()
-        if isinstance(node, (Seq, Par)) and not ready:
-            first, second = _halves(node)
-            todo += [(node, True), (second, False), (first, False)]
-        elif isinstance(node, (Seq, Par)):
-            (ins, outs), (next_ins, next_outs) = done[-2], done.pop()
+        node = todo.pop()
+        if type(node) is tuple:
+            (node,), (ins, outs), (next_ins, next_outs) = node, done[-2], done.pop()
             if isinstance(node, Par):
-                ins.extend(next_ins)
-                outs.extend(next_outs)
+                ins += next_ins
+                outs += next_outs
                 continue
             if len(outs) != len(next_ins):
                 raise TermTypeError(
                     f"composition at column {node.pos}: lower side has "
                     f"{len(outs)} outputs but upper side expects {len(next_ins)} inputs"
                 )
-            segments.extend(zip(outs, next_ins))
+            for a, b in zip(outs, next_ins):
+                across[a], across[b] = b, a
             done[-1] = (ins, next_outs)
+        elif isinstance(node, Seq):
+            todo += ((node,), node.upper, node.lower)
+        elif isinstance(node, Par):
+            todo += ((node,), node.right, node.left)
         else:
-            legs = list(range(count, count + node.ins + node.outs))
-            count += len(legs)
-            if type(node) in _WIRES:
-                segments.extend((legs[a], legs[b]) for a, b in _WIRES[type(node)])
+            e, n_in = len(inner), node.ins
+            n = n_in + node.outs
+            wires = _WIRES.get(type(node))
+            if wires:
+                inner += [e + k for k in wires]
             else:
                 vid = len(vertices)
                 spider = Black if isinstance(node, WGen) else White
-                vertices[vid] = Crossing() if isinstance(node, Cross) else spider(len(legs))
-                segments.extend(((vid, k), end) for k, end in enumerate(legs))
-            done.append((legs[: node.ins], legs[node.ins :]))
+                vertices[vid] = _CROSSING if isinstance(node, Cross) else spider(n)
+                inner += [(vid, k) for k in range(n)]
+            across += [None] * n
+            done.append((list(range(e, e + n_in)), list(range(e + n_in, e + n))))
 
     ((ins, outs),) = done
-    boundary = {end: (BOUNDARY, position) for position, end in enumerate(ins + outs)}
-    wires, circles = _resolve_wires(segments, set(range(count)) - boundary.keys())
-    edges = tuple((boundary.get(p, p), boundary.get(q, q)) for p, q in wires)
-    return Diagram(vertices, edges, ("in",) * len(ins) + ("out",) * len(outs), circles)
+    for position, e in enumerate(ins + outs):
+        across[e] = (BOUNDARY, position)
+    edges, circles = _link(inner, across)
+    return Diagram(vertices, tuple(edges), ("in",) * len(ins) + ("out",) * len(outs), circles)
 
 
 # -- diagram to term ----------------------------------------------------------

@@ -166,6 +166,16 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_term_syntax_errors_name_their_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.zw"
+        for content, position in (
+            ("id ;\r\n  w(1,2) *\r\n  )", "line 3, column 3"),
+            ("w(" + "1" * 5000 + ",0)", "line 1, column 3"),  # too many digits for int()
+        ):
+            path.write_text(content)
+            code, out, err = run(capsys, "eval", str(path))
+            assert (code, out) == (2, "") and err.startswith("error:") and position in err
+
     def test_missing_files(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", str(tmp_path / "absent.zw"))
         assert code == 2 and err.startswith("error:")

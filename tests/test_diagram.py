@@ -183,6 +183,20 @@ class TestPlug:
         with pytest.raises(DiagramError):
             plug(wire(), wire(), [(7, 0)])
 
+    def test_unwired_legs(self):
+        # Leg 0 of the first diagram has no edge.  Left unpaired it stays an
+        # unwired leg of the result; paired, its wire would end nowhere.
+        g = Diagram({}, (((BOUNDARY, 1), (BOUNDARY, 2)),), ("out",) * 3)
+        h = plug(g, wire(), [(2, 0)])
+        assert h.edges == (((BOUNDARY, 1), (BOUNDARY, 2)),) and len(h.boundary) == 3
+        with pytest.raises(DiagramError):
+            plug(g, wire(), [(0, 0)])
+
+    def test_a_fused_leg_on_two_edges_is_refused(self):
+        g = Diagram({}, (((BOUNDARY, 0), (BOUNDARY, 1)),) * 2, ("out",) * 2)
+        with pytest.raises(DiagramError):
+            plug(g, wire(), [(0, 0)])
+
     def test_associative_on_disjoint_pairings(self):
         left = plug(plug(b2_chain(), wire(), [(1, 0)]), crossing_state(), [(1, 0)])
         right = plug(b2_chain(), plug(wire(), crossing_state(), [(1, 0)]), [(1, 0)])

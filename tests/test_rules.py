@@ -477,6 +477,19 @@ class TestApply:
                     digest.update(diagram_to_json(apply(rule, host, match)).encode())
         assert digest.hexdigest() == REWRITE_DIGEST
 
+    def test_the_lhs_port_map_is_built_once_per_rule(self, rules_by_name, monkeypatch):
+        # The host's map is built per call; the lhs's once, with its plan.
+        rule = rules_by_name["sp_W(2,2)"]
+        host = Diagram(dict(rule.lhs.vertices), rule.lhs.edges, rule.lhs.boundary)
+        matches = find_matches(rule, host)
+        assert matches
+        built = []
+        real = Diagram.port_partner
+        monkeypatch.setattr(Diagram, "port_partner", lambda g: built.append(g) or real(g))
+        for match in matches * 3:
+            apply(rule, host, match)
+        assert len(built) == 3 * len(matches) and all(g is host for g in built)
+
     def test_two_hundred_random_triples_preserve_eval(self, rules_by_name):
         # Graft each rule's own lhs onto a random diagram so that a match is
         # guaranteed, then check apply against the semantics.
