@@ -33,15 +33,16 @@ honest diagrams with unchanged evaluation.  Both routes reach the same
 output.
 
 There is one arithmetic, the bitmask tensor ops of :mod:`zwcalc.tensor`,
-and one schedule.  A ``NormalForm`` is a canonical view of a tensor
-(``nf_of_tensor``).  The traced fold absorbs vertices in ``eval_diagram``'s
-frontier-first order, and its accumulator is a mask-keyed ``Tensor`` whose
-legs are labelled by open port: juxtaposition is ``contract`` with an empty
-pairing and a closed edge is ``trace_pair``.  The accumulator is read as a
-normal form only for trace snapshots and the output.  A crossing splice and
-a trace snapshot are one operation, ``_plug_template``: open the ports of
-the replaced vertices as extra boundary legs and ``plug`` a template onto
-them.  The lemma operations (``negate_end``, ``trace_ends``,
+and one fold.  A ``NormalForm`` is a canonical view of a tensor
+(``nf_of_tensor``).  The traced run is ``eval_diagram``'s fold
+(``tensor._fold``) with an observer: it joins each generator with every
+leg open (``generator-nf``), then sums each edge that closes with its own
+join (``trace``), and plugs in bare wires and circles last
+(``plugging``).  After each step the observer renders the accumulator,
+its legs sorted by the port they face, as a snapshot.  A crossing splice
+and a trace snapshot are one operation, ``_plug_template``: open the ports
+of the replaced vertices as extra boundary legs and ``plug`` a template
+onto them.  The lemma operations (``negate_end``, ``trace_ends``,
 ``plug_normal_forms``, ``permute_legs``, ``reduce_mod``) are views too: the
 normal form's tensor, one tensor op, then ``nf_of_tensor``.
 """
@@ -61,7 +62,6 @@ from .diagram import (
     VertexKind,
     White,
     plug,
-    port_count,
     validate,
 )
 from .errors import DiagramError, LegCapError
@@ -71,16 +71,11 @@ from .tensor import (
     IntegersMod,
     Ring,
     Tensor,
-    _absorption_order,
-    _boundary_order,
     _fold,
-    _generator,
     contract,
     generator_tensor,
     permute,
-    scalar_tensor,
     trace_pair,
-    wire_tensor,
 )
 
 
@@ -567,9 +562,9 @@ def normalize(
     tensor, ``nf_to_diagram(nf_of_tensor(eval_diagram(g, ring, leg_cap),
     ring), dirs=g.boundary)``, and no trace is returned.  With ``want_trace``
     the constructive procedure runs: crossings are eliminated first, then
-    every generator's normal form is folded into an accumulator in
-    ``eval_diagram``'s frontier-first order (juxtapose, then trace each
-    closed edge), bare wires and circles are plugged in last, and the result
+    ``eval_diagram``'s fold runs with an observer that records a snapshot
+    after each step.  It juxtaposes each generator's normal form, traces
+    each closed edge, plugs in bare wires and circles last, and the result
     is rendered through the template.  The returned trace lists every step
     as a pair of whole diagrams with equal evaluation; the last step's
     ``after`` is the output.  Both routes give the same output, which always
@@ -594,50 +589,12 @@ def normalize(
         steps.append(TraceStep("crossing-elim", current, spliced))
         current = spliced
 
-    # As in eval_diagram's fold, accumulator leg k stands for the open port
-    # labels[k].  A snapshot plugs the accumulator's template in place of the
-    # absorbed vertices, its legs sorted by the port they face; once every
-    # leg faces the boundary, that is the output template itself.
-    partner = current.port_partner()
-    acc = scalar_tensor(1, ring)
-    labels: list[Port] = []
-    absorbed: set[int] = set()
-    circles = current.circles
+    def emit(step: str, absorbed: set[int], circles: int, acc: Tensor, labels: list[Port]) -> None:
+        # The accumulator's template in place of the absorbed vertices.
+        snapshot = _plug_template(current, absorbed, acc, labels, ring, circles)
+        steps.append(TraceStep(step, steps[-1].after if steps else current, snapshot))
 
-    def emit(name: str) -> None:
-        order = _boundary_order(labels, partner)
-        snapshot = _plug_template(
-            current, absorbed, permute(acc, order), [labels[k] for k in order], ring, circles
-        )
-        steps.append(TraceStep(name, steps[-1].after if steps else current, snapshot))
-
-    for vid in _absorption_order(current):
-        kind = current.vertices[vid]
-        ports = [(vid, k) for k in range(port_count(kind))]
-        acc = contract(acc, _generator(kind, ring), [], ring)
-        labels += ports
-        absorbed.add(vid)
-        emit("generator-nf")
-        closed = {tuple(sorted((p, partner[p]))) for p in ports if partner[p][0] in absorbed}
-        for p, q in sorted(closed):
-            acc = trace_pair(acc, labels.index(p), labels.index(q), ring)
-            labels.remove(p)
-            labels.remove(q)
-            emit("trace")
-
-    for p, q in current.edges:
-        if p[0] == q[0] == BOUNDARY:
-            acc = contract(acc, wire_tensor(ring), [], ring)
-            labels += [p, q]
-            emit("plugging")
-
-    while circles:
-        acc = contract(acc, scalar_tensor(2, ring), [], ring)
-        circles -= 1
-        emit("plugging")
-
-    psi = permute(acc, _boundary_order(labels, partner))
-    out = nf_to_diagram(nf_of_tensor(psi, ring), dirs=g.boundary)
+    out = nf_to_diagram(nf_of_tensor(_fold(current, ring, emit), ring), dirs=g.boundary)
     if not steps:
         steps.append(TraceStep("plugging", g, out))
     return out, RewriteTrace(tuple(steps))

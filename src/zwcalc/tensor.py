@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .diagram import BOUNDARY, Black, Crossing, Diagram, Port, VertexKind, White, port_count
 from .errors import DiagramError, LegCapError
@@ -317,11 +317,15 @@ def tensor_from_text(text: str, ring: Ring = INTEGERS) -> Tensor:
 # port's slot, which is then free, and each other leg takes a free slot,
 # reusing freed ones first.  So no leg moves during the fold, and the masks
 # are never wider than the most legs open at once.  Bare wires are joined
-# last, and one gather (``_move_bits``) puts the slots in boundary order.
+# last, and one gather (``_gather``) puts the slots in boundary order.
 # ``contract``, ``trace_pair`` and ``permute`` run on the same two kernels.
 # A zero accumulator stays zero, so the fold stops as soon as it empties.
-# ``_absorption_order`` and ``_boundary_order`` are shared with the traced
-# fold of ``normalform.normalize``.
+#
+# The traced run of ``normalform.normalize`` is this fold with an observer.
+# An observed fold joins each generator with every leg open, sums each edge
+# that closes by its own join of the wire tensor, and multiplies in each
+# circle on its own at the end; the observer sees the accumulator gathered
+# after every step.  It never stops early, so every step is reported.
 
 
 @lru_cache(maxsize=256)
@@ -391,47 +395,68 @@ def _absorption_order(g: Diagram) -> Iterator[int]:
         yield vid
 
 
-def _boundary_order(labels: Sequence[Port], partner: Mapping[Port, Port]) -> list[int]:
-    """Accumulator legs sorted by the port each one faces.
+def _gather(
+    acc: Mapping[int, int], slot: Mapping[Port, int], partner: Mapping[Port, Port]
+) -> tuple[Tensor, list[Port]]:
+    """The accumulator as a tensor, and its open ports sorted by the port each faces.
 
-    Leg k stands for the open port ``labels[k]`` (or, for a bare wire, for
-    that boundary end itself) and faces its partner.  Boundary ports sort
-    first, so once every leg faces the boundary this is the ``permute``
-    order that puts the legs in boundary order.
+    A bare wire's boundary end faces itself.  Boundary ports sort first, so
+    once every open port faces the boundary the legs are in boundary order.
     """
-    faces = [port if port[0] == BOUNDARY else partner[port] for port in labels]
-    return sorted(range(len(labels)), key=faces.__getitem__)
+    ports = sorted(slot, key=lambda p: p if p[0] == BOUNDARY else partner[p])
+    n = len(ports)
+    return Tensor(n, _move_bits(acc, [(slot[p], n - 1 - k) for k, p in enumerate(ports)])), ports
 
 
-def _fold(g: Diagram, ring: Ring) -> Tensor:
-    """``eval_diagram`` of a diagram its caller has already checked."""
+def _fold(g: Diagram, ring: Ring, observe: Callable[..., None] | None = None) -> Tensor:
+    """``eval_diagram`` of a diagram its caller has already checked.
+
+    With ``observe`` the fold runs step by step (see the comment above) and
+    calls ``observe(step, absorbed vertex ids, circles not yet multiplied
+    in, *_gather(...))`` after each step.
+    """
     legs = len(g.boundary)
-    scalar = ring.reduce(pow(2, g.circles))
-    if not scalar:
+    circles = g.circles if observe else 0  # multiplied in one at a time, last
+    scalar = ring.reduce(pow(2, g.circles - circles))
+    acc = {0: scalar} if scalar else {}
+    if not (acc or observe):
         return Tensor(legs, {})
-    acc = {0: scalar}
     slot: dict[Port, int] = {}  # the accumulator bit of each open port
     free: list[int] = []  # slots below len(slot) + len(free) held by no port
     partner = g.port_partner()
+    absorbed: set[int] = set()
 
     for vid in _absorption_order(g):
         t = _generator(g.vertices[vid], ring)
         paired, loops, opened = [], [], []
-        for k in range(t.legs):
-            other = partner[(vid, k)]
-            s = slot.pop(other, None)
-            if s is not None:
-                paired.append((k, s))
-                free.append(s)
-            elif other[0] != vid:
-                opened.append(k)
-            elif k < other[1]:
-                loops.append((k, other[1]))
+        if observe:
+            absorbed.add(vid)
+            edges = [((vid, k), partner[(vid, k)]) for k in range(t.legs)]
+            closed = sorted({(min(e), max(e)) for e in edges if e[1][0] in absorbed})
+            opened = list(range(t.legs))
+        else:
+            for k in range(t.legs):
+                other = partner[(vid, k)]
+                s = slot.pop(other, None)
+                if s is not None:
+                    paired.append((k, s))
+                    free.append(s)
+                elif other[0] != vid:
+                    opened.append(k)
+                elif k < other[1]:
+                    loops.append((k, other[1]))
         for i, k in enumerate(opened):
             s = slot[(vid, k)] = free.pop() if free else len(slot)
             opened[i] = (k, s)
         acc = _join(acc, t, paired, opened, loops, ring)
-        if not acc:
+        if observe:
+            observe("generator-nf", absorbed, circles, *_gather(acc, slot, partner))
+            for p, q in closed:
+                ends = [(0, slot.pop(p)), (1, slot.pop(q))]
+                free += [s for _, s in ends]
+                acc = _join(acc, wire_tensor(ring), ends, [], [], ring)
+                observe("trace", absorbed, circles, *_gather(acc, slot, partner))
+        elif not acc:
             return Tensor(legs, {})
 
     for p, q in g.edges:
@@ -439,10 +464,14 @@ def _fold(g: Diagram, ring: Ring) -> Tensor:
             for port in (p, q):
                 slot[port] = free.pop() if free else len(slot)
             acc = _join(acc, wire_tensor(ring), [], [(0, slot[p]), (1, slot[q])], [], ring)
+            if observe:
+                observe("plugging", absorbed, circles, *_gather(acc, slot, partner))
+    if observe:
+        for left in reversed(range(circles)):
+            acc = _join(acc, scalar_tensor(2, ring), [], [], [], ring)
+            observe("plugging", absorbed, left, *_gather(acc, slot, partner))
 
-    ports = list(slot)
-    ends = [slot[ports[i]] for i in _boundary_order(ports, partner)]
-    return Tensor(legs, _move_bits(acc, [(s, legs - 1 - k) for k, s in enumerate(ends)]))
+    return _gather(acc, slot, partner)[0]
 
 
 # The API name for evaluation; the module keeps the explicit name as well.

@@ -8,9 +8,10 @@ bitstring-keyed dicts by enumerating every assignment of bits to legs.
 to enumerate by counting perfect matchings.
 ``oracle_embeddings`` enumerates pattern embeddings over raw per-vertex port
 bijections.  ``oracle_isomorphic`` enumerates vertex bijections and crossing
-strand flips.  All are exponential and only used on small instances; the point
-is that they share no code or strategy with the package, making agreement
-meaningful.
+strand flips.  These are exponential and only used on small instances.
+``oracle_link`` resolves wire pieces into edges and circles by union-find
+where ``diagram._link`` walks them.  The point is that the oracles share no
+code or strategy with the package, making agreement meaningful.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from zwcalc.diagram import BOUNDARY, Black, Crossing, Diagram, White, port_count
+from zwcalc.errors import DiagramError
 
 
 def _vertex_value(kind, values: list[int]) -> int:
@@ -308,3 +310,41 @@ def oracle_isomorphic(g: Diagram, h: Diagram) -> bool:
             if _iso_edges(g, vmap, dict(zip(crossings, bits))) == target:
                 return True
     return False
+
+
+def oracle_link(inner: list, across: list) -> tuple[set, int]:
+    """Edges (as unordered port pairs) and circle count of ``diagram._link``'s input.
+
+    Each wire end is merged with what it is attached to on both sides, so
+    every class is one wire.  A class holding two ports is an edge, one
+    holding only ends is a circle, and a class reaching None is a dead end
+    (``DiagramError``).
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    dead = []
+    for e in range(len(inner)):
+        for other in (inner[e], across[e]):
+            if other is None:
+                dead.append(e)
+            else:
+                parent[find(e)] = find(other)
+    if dead:
+        raise DiagramError(f"wire end {dead[0]} reaches nothing")
+    members: dict = {}
+    for x in parent:
+        members.setdefault(find(x), []).append(x)
+    edges, circles = set(), 0
+    for wire in members.values():
+        ports = sorted(x for x in wire if type(x) is not int)
+        assert len(ports) in (0, 2), f"a wire holds ports {ports}"
+        if ports:
+            edges.add(tuple(ports))
+        else:
+            circles += 1
+    return edges, circles

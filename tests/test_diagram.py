@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import b2_chain, circle, crossing_state, diagrams, relabel, swap_edge_ends, wire
-from oracle import oracle_isomorphic
+from oracle import oracle_isomorphic, oracle_link
 from zwcalc.diagram import (
     BOUNDARY,
     Black,
@@ -18,6 +18,7 @@ from zwcalc.diagram import (
     Diagram,
     DiagramBuilder,
     White,
+    _link,
     canonical_form,
     isomorphic,
     permute_boundary,
@@ -201,6 +202,44 @@ class TestPlug:
         left = plug(plug(b2_chain(), wire(), [(1, 0)]), crossing_state(), [(1, 0)])
         right = plug(b2_chain(), plug(wire(), crossing_state(), [(1, 0)]), [(1, 0)])
         assert isomorphic(left, right)
+
+
+def random_link_input(rng: random.Random) -> tuple[list, list]:
+    """Input for ``_link``: ends linked in mutual pairs on each side, the
+    other sides attached to distinct ports or, now and then, to None."""
+    n = rng.randrange(13)
+    ports = ((rng.choice((BOUNDARY, 0, 1, 2)), k) for k in range(2 * n))
+    sides = []
+    for _ in range(2):
+        side: list = [None] * n
+        ends = rng.sample(range(n), n)
+        linked = 2 * rng.randrange(n // 2 + 1)
+        for a, b in zip(ends[:linked:2], ends[1:linked:2]):
+            side[a], side[b] = b, a
+        for e in ends[linked:]:
+            side[e] = None if rng.random() < 0.03 else next(ports)
+        sides.append(side)
+    return sides[0], sides[1]
+
+
+class TestLink:
+    def test_agrees_with_the_union_find_oracle(self):
+        dead_ends = with_circles = 0
+        for seed in range(2000):
+            inner, across = random_link_input(random.Random(f"link:{seed}"))
+            try:
+                expected = oracle_link(inner, across)
+            except DiagramError:
+                dead_ends += 1
+                with pytest.raises(DiagramError):
+                    _link(inner, across)
+                continue
+            edges, circles = _link(inner, across)
+            assert len(edges) == len(expected[0])
+            assert {tuple(sorted(edge)) for edge in edges} == expected[0]
+            assert circles == expected[1]
+            with_circles += circles > 0
+        assert dead_ends >= 200 and with_circles >= 200
 
 
 class TestBoundaryOps:

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    b2_chain,
     circle,
     crossing_state,
     diagrams,
     relabel,
+    self_crossed_wire,
     swap_edge_ends,
+    swap_state,
     tensors,
     triangle,
     wire,
@@ -32,7 +35,7 @@ from zwcalc.diagram import (
 )
 from zwcalc.errors import DiagramError, LegCapError
 from zwcalc.fuzz import random_diagram
-from zwcalc.jsonio import diagram_to_json
+from zwcalc.jsonio import diagram_to_json, trace_to_lines
 from zwcalc.normalform import (
     NFTerm,
     NormalForm,
@@ -83,6 +86,10 @@ X_STATE_TERMS = (
 )
 
 
+#: A 2-rung ladder, among the inputs of the traced-run tests.
+PINNED_LADDER = "(w(1,2) ; x ; w(2,1)) ; (w(1,2) ; x ; w(2,1))"
+
+
 def nf(legs: int, *terms: tuple[int, int, str]) -> NormalForm:
     return NormalForm(legs, tuple(NFTerm(*t) for t in terms))
 
@@ -95,6 +102,21 @@ def golden_diagrams() -> list[Diagram]:
         text = " ; ".join(f"({rng.choice(LADDER_RUNGS)})" for _ in range(4))
         diagrams_.append(from_term(parse_term(text)))
     return diagrams_
+
+
+def traced_diagrams() -> list[Diagram]:
+    """The traced-run inputs: the helper shapes, the pinned ladder, 60 fuzz diagrams."""
+    shapes = [
+        wire(),
+        circle(),
+        b2_chain(),
+        triangle(),
+        crossing_state(),
+        swap_state(),
+        self_crossed_wire(),
+        from_term(parse_term(PINNED_LADDER)),
+    ]
+    return shapes + [random_diagram(random.Random(f"traced:{i}"), max_vertices=6) for i in range(60)]
 
 
 class TestNormalFormValidation:
@@ -486,6 +508,34 @@ class TestNormalize:
         out1, _ = normalize(empty, ring=IntegersMod(1))
         assert is_normal_form(out1) == NormalForm(0, ())
         assert eval_diagram(empty, IntegersMod(1)).is_zero()
+
+    def test_traced_outputs_are_pinned(self):
+        # The digest of the traced output JSON and every trace step's JSON
+        # line over Z, Z/1, Z/2 and Z/3: it fixes the step order and each
+        # snapshot to the vertex id and wire.
+        digest = hashlib.sha256()
+        for g in traced_diagrams():
+            for ring in (INTEGERS, IntegersMod(1), IntegersMod(2), IntegersMod(3)):
+                out, trace = normalize(g, ring, want_trace=True)
+                digest.update((diagram_to_json(out) + "\n").encode())
+                digest.update("".join(line + "\n" for line in trace_to_lines(trace)).encode())
+        assert digest.hexdigest() == (
+            "cb5499a499db4acec483403de947114cc4cf9918a912d97c53739f32975e85e0"
+        )
+
+    def test_trace_schedule_does_not_depend_on_the_ring(self):
+        # The traced fold emits every step whatever the coefficients: over
+        # Z/1 everything is zero from the start, and mod 2 a circle or a
+        # factor with even entries vanishes part way.
+        inputs = traced_diagrams() + [from_term(parse_term("(w(0,2) ; w(2,0)) * w(1,2)"))]
+        even = [g for g in inputs if eval_diagram(g, IntegersMod(2)).is_zero()]
+        assert sum(not eval_diagram(g, INTEGERS).is_zero() for g in even) >= 5
+        for g in inputs:
+            names = [
+                [s.step for s in normalize(g, ring, want_trace=True)[1].steps]
+                for ring in (INTEGERS, IntegersMod(1), IntegersMod(2))
+            ]
+            assert names[0] == names[1] == names[2]
 
     def test_fold_order_is_pinned(self):
         # The absorption order decides where the traces fall; this pins it.
